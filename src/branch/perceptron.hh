@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/simd.hh"
 #include "util/types.hh"
 
 namespace chirp
@@ -39,10 +40,12 @@ class HashedPerceptron
     bool predict(Addr pc) const;
 
     /**
-     * Train with the resolved outcome and update the global history.
-     * Call exactly once per conditional branch, after predict().
+     * Predict, train with the resolved outcome and update the global
+     * history, forming the table indices once.  Call exactly once per
+     * conditional branch.
+     * @return the direction predict(pc) gave before training.
      */
-    void update(Addr pc, bool taken);
+    bool update(Addr pc, bool taken);
 
     /** Clear weights and history. */
     void reset();
@@ -50,14 +53,24 @@ class HashedPerceptron
     /** Current global outcome history (tests). */
     std::uint64_t history() const { return history_; }
 
+    /** Weight tables, numTables x tableEntries (tests). */
+    const std::vector<std::int8_t> &weights() const { return weights_; }
+
+    /** Per-PC bias weights (tests). */
+    const std::vector<std::int8_t> &bias() const { return bias_; }
+
   private:
-    int sumFor(Addr pc) const;
-    std::size_t indexFor(Addr pc, unsigned table) const;
+    std::size_t biasIndex(Addr pc) const;
+
+    /** Slot in weights_ of table @p table's weight for @p pc. */
+    std::size_t weightIndex(Addr pc, unsigned table) const;
 
     PerceptronConfig config_;
     int theta_;
+    simd::FoldPlan fold_; //!< folds hashes to a table index
     std::vector<std::int8_t> weights_; //!< numTables x tableEntries
     std::vector<std::int8_t> bias_;    //!< per-PC bias table
+    std::vector<std::size_t> slots_;   //!< update()'s weight slots
     std::uint64_t history_ = 0;
 };
 

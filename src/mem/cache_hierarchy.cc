@@ -10,13 +10,16 @@ CacheHierarchy::CacheHierarchy(const CacheHierarchyConfig &config)
 }
 
 Cycles
-CacheHierarchy::missBeyondL1(Addr addr, bool write)
+CacheHierarchy::missFromL1(Cache &l1, Addr addr, bool write)
 {
-    if (l2_.access(addr, write))
-        return l2_.latency();
-    if (l3_.access(addr, write))
-        return l2_.latency() + l3_.latency();
-    return l2_.latency() + l3_.latency() + config_.dramLatency;
+    Cycles stall = l2_.latency();
+    if (!l2_.access(addr, write)) {
+        stall += l3_.latency();
+        if (!l3_.access(addr, write))
+            stall += config_.dramLatency;
+    }
+    prefetchAfterMiss(l1, addr);
+    return stall;
 }
 
 void
@@ -24,43 +27,22 @@ CacheHierarchy::prefetchAfterMiss(Cache &l1, Addr addr)
 {
     if (!config_.nextLinePrefetch)
         return;
-    const Addr line_bytes = config_.l2.lineBytes;
+    const Addr line_bytes = l1.config().lineBytes;
     for (unsigned d = 1; d <= config_.prefetchDegree; ++d) {
         const Addr next = addr + d * line_bytes;
         // Stay inside the page: a cross-page prefetch would need its
         // own translation, which hardware prefetchers avoid.
         if (pageBase(next) != pageBase(addr))
             break;
-        if (l1.probe(next))
+        // Prefetch latency is overlapped with the demand miss.  A line
+        // the L1 already holds is skipped without touching its recency
+        // or the levels below.
+        if (l1.fillIfAbsent(next))
             continue;
-        // Prefetch latency is overlapped with the demand miss.
-        l1.access(next, false);
-        if (!l2_.probe(next))
-            l2_.access(next, false);
-        if (!l3_.probe(next))
-            l3_.access(next, false);
+        l2_.fillIfAbsent(next);
+        l3_.fillIfAbsent(next);
         ++prefetches_;
     }
-}
-
-Cycles
-CacheHierarchy::accessInstr(Addr pc)
-{
-    if (l1i_.access(pc, false))
-        return 0; // L1 hit latency is hidden by the pipeline
-    const Cycles stall = missBeyondL1(pc, false);
-    prefetchAfterMiss(l1i_, pc);
-    return stall;
-}
-
-Cycles
-CacheHierarchy::accessData(Addr addr, bool write)
-{
-    if (l1d_.access(addr, write))
-        return 0;
-    const Cycles stall = missBeyondL1(addr, write);
-    prefetchAfterMiss(l1d_, addr);
-    return stall;
 }
 
 void

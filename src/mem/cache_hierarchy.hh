@@ -42,10 +42,20 @@ class CacheHierarchy
     explicit CacheHierarchy(const CacheHierarchyConfig &config = {});
 
     /** Instruction fetch of @p pc; returns stall cycles beyond L1. */
-    Cycles accessInstr(Addr pc);
+    Cycles
+    accessInstr(Addr pc)
+    {
+        // An L1 hit's latency is hidden by the pipeline.
+        return l1i_.access(pc, false) ? 0 : missFromL1(l1i_, pc, false);
+    }
 
     /** Data access; returns stall cycles beyond L1. */
-    Cycles accessData(Addr addr, bool write);
+    Cycles
+    accessData(Addr addr, bool write)
+    {
+        return l1d_.access(addr, write) ? 0
+                                        : missFromL1(l1d_, addr, write);
+    }
 
     /** Drop all state. */
     void reset();
@@ -59,8 +69,11 @@ class CacheHierarchy
     std::uint64_t prefetches() const { return prefetches_; }
 
   private:
-    /** Walk L2/L3/DRAM after an L1 miss; returns stall cycles. */
-    Cycles missBeyondL1(Addr addr, bool write);
+    /**
+     * After @p l1 missed on @p addr: walk L2/L3/DRAM, then prefetch.
+     * @return stall cycles.
+     */
+    Cycles missFromL1(Cache &l1, Addr addr, bool write);
 
     /** Same-page next-line prefetch into @p l1 after a miss. */
     void prefetchAfterMiss(Cache &l1, Addr addr);

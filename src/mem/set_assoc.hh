@@ -1,10 +1,10 @@
 /**
  * @file
- * Generic set-associative array shared by caches and TLBs.
+ * Generic set-associative array shared by the TLBs and the BTB.
  *
  * The array manages tags, valid bits and a per-slot payload; callers
- * layer replacement on top (caches use the built-in recency tick,
- * TLBs delegate to a ReplacementPolicy).
+ * layer replacement on top (the BTB keeps a recency tick in the
+ * payload, TLBs delegate to a ReplacementPolicy).
  *
  * Storage is structure-of-arrays: the valid bytes and tags of a set
  * are contiguous runs, so the per-access tag match and invalid-way
