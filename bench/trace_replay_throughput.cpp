@@ -1,14 +1,16 @@
 /**
  * @file
  * Trace-replay throughput microbench: how fast records reach a
- * consumer from (a) the synthetic generator, (b) a materialized
- * in-memory trace pulled one record at a time, and (c) the same
- * trace pulled through the batched nextBatch() hot path the
- * simulator uses.
+ * consumer from (a) the synthetic generator, built and drained through
+ * nextBatch() the way Simulator::runImpl and TraceStore pull it, one
+ * workload per category, (b) a materialized in-memory trace pulled one
+ * record at a time, and (c) the same trace pulled through the batched
+ * nextBatch() hot path the simulator uses.
  *
- * Prints a table and writes BENCH_trace_replay.json (records/sec per
- * path plus the batched-vs-generator speedup) so CI can archive the
- * perf trajectory of the replay hot path.
+ * Prints a table plus the generator's ns/record per category, and
+ * writes BENCH_trace_replay.json (records/sec per path, generator
+ * ns/record, and the batched-vs-generator speedup) so CI can archive
+ * the perf trajectory of the replay hot path.
  *
  * Usage: trace_replay_throughput [--records N] [--reps N] [--out F]
  */
@@ -19,6 +21,7 @@
 #include <cstring>
 #include <string>
 
+#include "sim/simulator.hh"
 #include "trace/trace_store.hh"
 #include "util/atomic_file.hh"
 #include "util/logging.hh"
@@ -102,21 +105,37 @@ main(int argc, char **argv)
     workload.name = "replay_bench";
 
     std::printf("== trace replay throughput ==\n");
-    std::printf("%llu records (spec workload), best of %u reps\n\n",
+    std::printf("%llu records per workload, best of %u reps\n\n",
                 static_cast<unsigned long long>(records), reps);
 
     volatile std::uint64_t guard = 0;
 
-    // Path A: the generator itself, the cost every policy used to pay.
-    const auto program = buildWorkload(workload);
-    const double gen_rate = throughput(records, reps, [&] {
-        program->reset();
-        TraceRecord rec;
-        std::uint64_t sink = 0;
-        while (program->next(rec))
-            sink = consume(rec, sink);
-        guard = guard ^ sink;
-    });
+    // Path A: the generator, paid on every generate-per-job run and on
+    // every cold trace-cache fill.  Each rep builds the workload and
+    // drains it in simulator-sized batches, one workload per category.
+    constexpr auto kCategories =
+        static_cast<std::size_t>(Category::NumCategories);
+    double gen_ns[kCategories];
+    double gen_ns_sum = 0.0;
+    for (std::size_t c = 0; c < kCategories; ++c) {
+        WorkloadConfig config = workload;
+        config.category = static_cast<Category>(c);
+        const double rate = throughput(records, reps, [&] {
+            const auto program = buildWorkload(config);
+            TraceRecord buf[kReplayBatch];
+            std::uint64_t sink = 0;
+            std::size_t got;
+            while ((got = program->nextBatch(buf, kReplayBatch)) > 0) {
+                for (std::size_t i = 0; i < got; ++i)
+                    sink = consume(buf[i], sink);
+            }
+            guard = guard ^ sink;
+        });
+        gen_ns[c] = 1e9 / rate;
+        gen_ns_sum += gen_ns[c];
+    }
+    const double gen_ns_mean = gen_ns_sum / kCategories;
+    const double gen_rate = 1e9 / gen_ns_mean;
 
     // Materialize once; paths B/C replay the shared flat stream.
     const auto trace = std::make_shared<ColumnarTrace>(
@@ -138,10 +157,10 @@ main(int argc, char **argv)
     MemoryTraceSource batched(trace, "batched");
     const double batched_rate = throughput(records, reps, [&] {
         batched.reset();
-        TraceRecord buf[256];
+        TraceRecord buf[kReplayBatch];
         std::uint64_t sink = 0;
         std::size_t got;
-        while ((got = batched.nextBatch(buf, 256)) > 0) {
+        while ((got = batched.nextBatch(buf, kReplayBatch)) > 0) {
             for (std::size_t i = 0; i < got; ++i)
                 sink = consume(buf[i], sink);
         }
@@ -154,12 +173,24 @@ main(int argc, char **argv)
         table.row({name, TableFormatter::num(rate / 1e6, 2) + "M",
                    TableFormatter::num(rate / gen_rate, 2) + "x"});
     };
-    row("generator", gen_rate);
-    row("memory scalar next()", scalar_rate);
-    row("memory batched nextBatch()", batched_rate);
+    row("generator nextBatch() drain", gen_rate);
+    row("memory scalar next() (spec)", scalar_rate);
+    row("memory batched nextBatch() (spec)", batched_rate);
     table.print();
 
-    char json[768];
+    std::printf("\ngenerator drain, ns/record:");
+    std::string by_category;
+    for (std::size_t c = 0; c < kCategories; ++c) {
+        const char *name = categoryName(static_cast<Category>(c));
+        std::printf(" %s %.2f", name, gen_ns[c]);
+        char entry[64];
+        std::snprintf(entry, sizeof(entry), "%s\"%s\": %.2f",
+                      c ? ", " : "", name, gen_ns[c]);
+        by_category += entry;
+    }
+    std::printf(" (mean %.2f)\n", gen_ns_mean);
+
+    char json[1024];
     std::snprintf(
         json, sizeof(json),
         "{\n"
@@ -167,14 +198,17 @@ main(int argc, char **argv)
         "  \"records\": %llu,\n"
         "  \"reps\": %u,\n"
         "  \"paths\": {\n"
-        "    \"generator\": {\"records_per_sec\": %.0f},\n"
+        "    \"generator\": {\"records_per_sec\": %.0f, "
+        "\"ns_per_record\": %.2f,\n"
+        "                  \"ns_per_record_by_category\": {%s}},\n"
         "    \"memory_scalar\": {\"records_per_sec\": %.0f},\n"
         "    \"memory_batched\": {\"records_per_sec\": %.0f}\n"
         "  },\n"
         "  \"batched_vs_generator_speedup\": %.3f\n"
         "}\n",
         static_cast<unsigned long long>(records), reps, gen_rate,
-        scalar_rate, batched_rate, batched_rate / gen_rate);
+        gen_ns_mean, by_category.c_str(), scalar_rate, batched_rate,
+        batched_rate / gen_rate);
     std::string error;
     if (!atomicWriteFile(out, json, &error))
         chirp_fatal("cannot write '", out, "': ", error);

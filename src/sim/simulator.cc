@@ -106,7 +106,7 @@ struct StepChunk
 
 Simulator::Simulator(const SimConfig &config,
                      std::unique_ptr<ReplacementPolicy> l2_policy)
-    : config_(config), caches_(config.caches), branch_(config.branch)
+    : config_(config)
 {
     tlbs_ = std::make_unique<TlbHierarchy>(
         config.tlbs, std::move(l2_policy),
@@ -135,10 +135,10 @@ Simulator::step(const TraceRecord &rec, std::uint64_t now)
     ifetch.isInstr = true;
     cost += tlbs_->translate(ifetch, activeAsid_, now).stall;
     if (config_.simulateCaches)
-        cost += caches_.accessInstr(rec.pc);
+        cost += caches_->accessInstr(rec.pc);
 
     if (config_.simulateBranch && isBranch(rec.cls))
-        cost += branch_.onBranch(rec);
+        cost += branch_->onBranch(rec);
 
     // Back end: data access.
     if (isMemory(rec.cls)) {
@@ -149,8 +149,8 @@ Simulator::step(const TraceRecord &rec, std::uint64_t now)
         data.isInstr = false;
         cost += tlbs_->translate(data, activeAsid_, now).stall;
         if (config_.simulateCaches) {
-            cost += caches_.accessData(rec.effAddr,
-                                       rec.cls == InstClass::Store);
+            cost += caches_->accessData(rec.effAddr,
+                                        rec.cls == InstClass::Store);
         }
     }
 
@@ -607,8 +607,19 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
     for (TraceSource *source : sources)
         source->reset();
     tlbs_->reset();
-    caches_.reset();
-    branch_.reset();
+    // Built on first use; a new unit is already in its reset state.
+    if (config_.simulateCaches) {
+        if (caches_)
+            caches_->reset();
+        else
+            caches_ = std::make_unique<CacheHierarchy>(config_.caches);
+    }
+    if (config_.simulateBranch) {
+        if (branch_)
+            branch_->reset();
+        else
+            branch_ = std::make_unique<BranchUnit>(config_.branch);
+    }
 
     InstCount expected = 0;
     for (const TraceSource *source : sources)
@@ -645,8 +656,8 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
         snap.l2Acc = tlbs_->l2().accesses();
         snap.l2Hit = tlbs_->l2().hits();
         snap.l2Miss = tlbs_->l2().misses();
-        snap.branches = branch_.branches();
-        snap.mispredicts = branch_.mispredicts();
+        snap.branches = branch_ ? branch_->branches() : 0;
+        snap.mispredicts = branch_ ? branch_->mispredicts() : 0;
         snap.tReads = tlbs_->l2().policy().tableReads();
         snap.tWrites = tlbs_->l2().policy().tableWrites();
         snap.walkCycles = tlbs_->walker().totalCycles();
@@ -788,7 +799,7 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
                     static_cast<unsigned>(tlbs_->pageShiftFor(pc[j])));
             }
             if (config_.simulateCaches)
-                cost += caches_.accessInstr(pc[j]);
+                cost += caches_->accessInstr(pc[j]);
             if (config_.simulateBranch && isBranch(cls)) {
                 TraceRecord rec;
                 rec.pc = pc[j];
@@ -796,7 +807,7 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
                 rec.target = tg[j];
                 rec.cls = cls;
                 rec.taken = taken;
-                cost += branch_.onBranch(rec);
+                cost += branch_->onBranch(rec);
             }
             if (isMemory(cls)) {
                 if (!c.dhits[d]) {
@@ -804,7 +815,7 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
                         c.dinfos[d], activeAsid_, now, c.dshifts[d]);
                 }
                 if (config_.simulateCaches) {
-                    cost += caches_.accessData(
+                    cost += caches_->accessData(
                         ea[j], cls == InstClass::Store);
                 }
                 ++d;
@@ -929,8 +940,10 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
     stats.l2TlbAccesses = tlbs_->l2().accesses() - snap.l2Acc;
     stats.l2TlbHits = tlbs_->l2().hits() - snap.l2Hit;
     stats.l2TlbMisses = tlbs_->l2().misses() - snap.l2Miss;
-    stats.branches = branch_.branches() - snap.branches;
-    stats.branchMispredicts = branch_.mispredicts() - snap.mispredicts;
+    if (branch_) {
+        stats.branches = branch_->branches() - snap.branches;
+        stats.branchMispredicts = branch_->mispredicts() - snap.mispredicts;
+    }
     stats.tableReads = tlbs_->l2().policy().tableReads() - snap.tReads;
     stats.tableWrites = tlbs_->l2().policy().tableWrites() - snap.tWrites;
     stats.walkCycles = tlbs_->walker().totalCycles() - snap.walkCycles;

@@ -117,9 +117,6 @@ class Simulator
     TlbHierarchy &tlbs() { return *tlbs_; }
     const TlbHierarchy &tlbs() const { return *tlbs_; }
 
-    BranchUnit &branches() { return branch_; }
-    CacheHierarchy &caches() { return caches_; }
-
     const SimConfig &config() const { return config_; }
 
     /**
@@ -150,8 +147,11 @@ class Simulator
 
     SimConfig config_;
     std::unique_ptr<TlbHierarchy> tlbs_;
-    CacheHierarchy caches_;
-    BranchUnit branch_;
+    // Built by the first runImpl, and only when the configuration
+    // enables them: replay never touches either, and the L3 tag array
+    // alone is about 1 MB.
+    std::unique_ptr<CacheHierarchy> caches_;
+    std::unique_ptr<BranchUnit> branch_;
 };
 
 } // namespace chirp

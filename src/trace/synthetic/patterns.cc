@@ -55,7 +55,8 @@ StreamPattern::reset()
 ZipfPattern::ZipfPattern(Addr base, std::uint64_t npages, double exponent,
                          std::uint64_t layout_seed, unsigned line_slots)
     : base_(base), zipf_(npages, exponent),
-      lineSlots_(line_slots ? line_slots : 1)
+      lineSlots_(line_slots ? line_slots : 1),
+      lineLimit_(Rng::belowLimit(lineSlots_))
 {
     if (npages == 0)
         chirp_fatal("ZipfPattern needs nonzero pages");
@@ -71,7 +72,7 @@ ZipfPattern::nextAddr(Rng &rng)
     const std::size_t rank = zipf_(rng);
     const Addr page = rankToPage_[rank];
     // A few fixed 64B lines per page: hot structures are dense.
-    const Addr offset = rng.below(lineSlots_) * 64;
+    const Addr offset = rng.below(lineSlots_, lineLimit_) * 64;
     return base_ + page * kPageSize + offset;
 }
 
@@ -87,13 +88,15 @@ UniformPattern::UniformPattern(Addr base, std::uint64_t npages,
 {
     if (npages == 0)
         chirp_fatal("UniformPattern needs nonzero pages");
+    pageLimit_ = Rng::belowLimit(npages_);
+    lineLimit_ = Rng::belowLimit(lineSlots_);
 }
 
 Addr
 UniformPattern::nextAddr(Rng &rng)
 {
-    const Addr page = rng.below(npages_);
-    const Addr offset = rng.below(lineSlots_) * 64;
+    const Addr page = rng.below(npages_, pageLimit_);
+    const Addr offset = rng.below(lineSlots_, lineLimit_) * 64;
     return base_ + page * kPageSize + offset;
 }
 
@@ -116,7 +119,6 @@ ChasePattern::ChasePattern(Addr base, std::uint64_t npages,
     nextPage_.resize(npages);
     for (std::size_t i = 0; i < npages; ++i)
         nextPage_[order[i]] = order[(i + 1) % npages];
-    page_ = order[0];
 }
 
 Addr
@@ -134,7 +136,7 @@ ChasePattern::nextAddr(Rng &rng)
 void
 ChasePattern::reset()
 {
-    // Restart the walk from a fixed element of the cycle.
+    // Restart the walk where a fresh pattern starts it.
     page_ = 0;
     touch_ = 0;
 }
@@ -156,12 +158,17 @@ TiledPattern::TiledPattern(Addr base, std::uint64_t npages,
         chirp_fatal("TiledPattern needs nonzero pages");
     if (tilePages_ > npages_)
         tilePages_ = npages_;
+    tileLimit_ = Rng::belowLimit(tilePages_);
 }
 
 Addr
 TiledPattern::nextAddr(Rng &rng)
 {
-    const Addr page = (tileStart_ + rng.below(tilePages_)) % npages_;
+    // tileStart_ < npages_ and the draw is below tilePages_ <= npages_,
+    // so one conditional subtract is the modulo.
+    Addr page = tileStart_ + rng.below(tilePages_, tileLimit_);
+    if (page >= npages_)
+        page -= npages_;
     const Addr offset = rng.below(kPageSize / 64) * 64;
     const Addr addr = base_ + page * kPageSize + offset;
     if (++touch_ >= touchesPerTile_) {

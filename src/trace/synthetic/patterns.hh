@@ -119,6 +119,7 @@ class ZipfPattern : public DataPattern
     Rng::Zipf zipf_;
     std::vector<std::uint32_t> rankToPage_;
     unsigned lineSlots_;
+    std::uint64_t lineLimit_; //!< Rng::belowLimit(lineSlots_)
 };
 
 /** Uniform random page + offset over the region. */
@@ -136,6 +137,8 @@ class UniformPattern : public DataPattern
     Addr base_;
     std::uint64_t npages_;
     unsigned lineSlots_;
+    std::uint64_t pageLimit_; //!< Rng::belowLimit(npages_)
+    std::uint64_t lineLimit_; //!< Rng::belowLimit(lineSlots_)
 };
 
 /**
@@ -183,6 +186,7 @@ class TiledPattern : public DataPattern
     Addr base_;
     std::uint64_t npages_;
     std::uint64_t tilePages_;
+    std::uint64_t tileLimit_; //!< Rng::belowLimit(tilePages_)
     std::uint64_t touchesPerTile_;
     std::uint64_t tileStart_ = 0;
     std::uint64_t touch_ = 0;

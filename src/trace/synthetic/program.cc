@@ -171,7 +171,8 @@ void
 Program::buildSharedFn(BuiltFn &built, const SharedFnSpec &spec)
 {
     Rng build_rng(mix64(seed_ ^ (built.fn.entry + 0x5f)));
-    BlockPacker packer(built.body, 0.9, build_rng);
+    std::vector<Site> sites;
+    BlockPacker packer(sites, 0.9, build_rng);
     unsigned filler_left = spec.alus;
     const unsigned per_load =
         spec.loads ? std::max(1u, spec.alus / std::max(1u, spec.loads)) : 0;
@@ -191,12 +192,13 @@ Program::buildSharedFn(BuiltFn &built, const SharedFnSpec &spec)
     const unsigned nblocks = packer.finish();
     // Assign real addresses now that the size is known.
     built.fn = layout_.allocFunction(nblocks);
-    for (auto &site : built.body) {
+    for (auto &site : sites) {
         site.pc += built.fn.entry;
         if (site.cls == InstClass::CondBranch)
             site.target += built.fn.entry;
     }
     built.returnPc += built.fn.entry;
+    compile(sites, built.body);
 }
 
 void
@@ -205,7 +207,8 @@ Program::buildRegion(BuiltRegion &region, unsigned index)
     const RegionSpec &spec = region.spec;
     Rng build_rng(mix64(seed_ ^ (index + 0x17) ^
                         (region.spec.loadSites.size() << 8)));
-    BlockPacker packer(region.body, spec.branchBias, build_rng);
+    std::vector<Site> sites;
+    BlockPacker packer(sites, spec.branchBias, build_rng);
 
     for (unsigned pattern_idx : spec.loadSites) {
         if (pattern_idx >= patterns_.size())
@@ -244,26 +247,75 @@ Program::buildRegion(BuiltRegion &region, unsigned index)
         packer.place(site);
     }
 
-    region.loopBranchPc = packer.branchSlotPc();
+    const Addr loop_pc = packer.branchSlotPc();
     const unsigned nblocks = packer.finish();
-    region.fn = layout_.allocFunction(nblocks, spec.codePadPages);
-    for (auto &site : region.body) {
-        site.pc += region.fn.entry;
+    const FuncDesc fn = layout_.allocFunction(nblocks, spec.codePadPages);
+    for (auto &site : sites) {
+        site.pc += fn.entry;
         if (site.cls == InstClass::CondBranch && !site.isCall)
-            site.target += region.fn.entry;
+            site.target += fn.entry;
     }
-    region.loopBranchPc += region.fn.entry;
 
-    // The packer appended call sites into region.body; split them out
-    // so emission can interleave callee bodies.
+    // The packer appended call sites into the body; split them out so
+    // emission can interleave callee bodies.
     std::vector<Site> body;
-    for (const auto &site : region.body) {
-        if (site.isCall)
-            region.calls.push_back(site);
-        else
+    for (const auto &site : sites) {
+        if (!site.isCall) {
             body.push_back(site);
+            continue;
+        }
+        CallSite call;
+        call.call.pc = site.pc;
+        call.call.cls = site.cls;
+        call.call.target = site.target;
+        call.call.taken = true;
+        call.ret.pc = fns_[site.callee].returnPc;
+        call.ret.cls = InstClass::UncondIndirect;
+        call.ret.target = site.pc + kInstBytes;
+        call.ret.taken = true;
+        call.callee = site.callee;
+        call.pattern = patterns_[site.patternIdx].get();
+        call.probability = site.probability;
+        region.calls.push_back(call);
     }
-    region.body = std::move(body);
+    compile(body, region.body);
+
+    region.loop.pc = loop_pc + fn.entry;
+    region.loop.cls = InstClass::CondBranch;
+    region.loop.target = fn.entry;
+}
+
+void
+Program::compile(const std::vector<Site> &sites, Body &body)
+{
+    body.records.reserve(sites.size());
+    for (const Site &site : sites) {
+        TraceRecord rec;
+        rec.pc = site.pc;
+        rec.cls = site.cls;
+        Patch patch;
+        patch.at = static_cast<std::uint32_t>(body.records.size());
+        if (isMemory(site.cls)) {
+            patch.kind = Patch::Kind::Memory;
+            if (site.patternIdx != kNoPattern)
+                patch.pattern = patterns_[site.patternIdx].get();
+            body.patches.push_back(patch);
+        } else if (site.cls == InstClass::CondBranch) {
+            rec.target = site.target;
+            if (site.period > 0) {
+                patch.kind = Patch::Kind::Periodic;
+                patch.period = site.period;
+                patch.siteId =
+                    static_cast<std::uint32_t>(siteCounters_.size());
+                siteCounters_.push_back(0);
+            } else {
+                patch.kind = Patch::Kind::Biased;
+                patch.bias = site.takenBias;
+            }
+            body.patches.push_back(patch);
+        }
+        body.records.push_back(rec);
+    }
 }
 
 void
@@ -283,6 +335,7 @@ Program::finalize()
         buildRegion(regions_[i], static_cast<unsigned>(i));
 
     // Default transition rows: uniform over the *other* regions.
+    std::size_t longest = 0;
     for (std::size_t i = 0; i < regions_.size(); ++i) {
         auto &row = regions_[i].transitions;
         if (row.empty()) {
@@ -296,28 +349,18 @@ Program::finalize()
         if (sum <= 0.0)
             chirp_fatal("region '", regions_[i].spec.name,
                         "' has no outgoing transitions");
-    }
 
-    assignSiteIds();
+        // An iteration is the body, every call with its callee body
+        // and return, and the back edge.
+        std::size_t iteration = regions_[i].body.records.size() + 1;
+        for (const CallSite &call : regions_[i].calls)
+            iteration += fns_[call.callee].body.records.size() + 2;
+        longest = std::max(longest, iteration);
+    }
+    queue_.resize(longest);
+
     finalized_ = true;
     reset();
-}
-
-void
-Program::assignSiteIds()
-{
-    unsigned next_id = 0;
-    auto assign = [&](std::vector<Site> &sites) {
-        for (auto &site : sites) {
-            if (site.cls == InstClass::CondBranch && site.period > 0)
-                site.siteId = next_id++;
-        }
-    };
-    for (auto &fn : fns_)
-        assign(fn.body);
-    for (auto &region : regions_)
-        assign(region.body);
-    siteCounters_.assign(next_id, 0);
 }
 
 std::uint64_t
@@ -345,86 +388,62 @@ Program::chooseNextRegion()
     return static_cast<unsigned>(row.size() - 1);
 }
 
-void
-Program::emitSite(const Site &site, unsigned pattern_override)
+TraceRecord *
+Program::emitBody(const Body &body, DataPattern *caller, TraceRecord *out)
 {
-    TraceRecord rec;
-    rec.pc = site.pc;
-    rec.cls = site.cls;
-    if (isMemory(site.cls)) {
-        const unsigned idx =
-            site.patternIdx == kNoPattern ? pattern_override
-                                          : site.patternIdx;
-        assert(idx != kNoPattern && idx < patterns_.size());
-        rec.effAddr = patterns_[idx]->nextAddr(rng_);
-        ++memSiteCounter_;
-    } else if (site.cls == InstClass::CondBranch) {
-        if (site.period > 0) {
-            const std::uint32_t phase = siteCounters_[site.siteId]++;
-            rec.taken = (phase % site.period) != site.period - 1;
+    std::copy_n(body.records.data(), body.records.size(), out);
+    for (const Patch &patch : body.patches) {
+        TraceRecord &rec = out[patch.at];
+        switch (patch.kind) {
+          case Patch::Kind::Memory:
+            rec.effAddr =
+                (patch.pattern ? patch.pattern : caller)->nextAddr(rng_);
+            break;
+          case Patch::Kind::Periodic: {
+            const std::uint32_t phase = siteCounters_[patch.siteId]++;
+            rec.taken = (phase % patch.period) != patch.period - 1;
             if (rng_.chance(0.02))
                 rec.taken = !rec.taken; // sporadic data dependence
-        } else {
-            rec.taken = rng_.chance(site.takenBias);
+            break;
+          }
+          case Patch::Kind::Biased:
+            rec.taken = rng_.chance(patch.bias);
+            break;
         }
-        rec.target = site.target;
     }
-    queue_.push_back(rec);
+    return out + body.records.size();
 }
 
 void
 Program::emitIteration(bool last_iteration)
 {
     const BuiltRegion &region = regions_[currentRegion_];
-    for (const Site &site : region.body)
-        emitSite(site, kNoPattern);
-
-    for (const Site &call : region.calls) {
+    TraceRecord *out = emitBody(region.body, nullptr, queue_.data());
+    for (const CallSite &call : region.calls) {
         if (call.probability < 1.0 && !rng_.chance(call.probability))
             continue;
-        TraceRecord rec;
-        rec.pc = call.pc;
-        rec.cls = call.cls;
-        rec.target = call.target;
-        rec.taken = true;
-        queue_.push_back(rec);
-
-        const BuiltFn &fn = fns_[call.callee];
-        for (const Site &site : fn.body)
-            emitSite(site, call.patternIdx);
-
-        TraceRecord ret;
-        ret.pc = fn.returnPc;
-        ret.cls = InstClass::UncondIndirect;
-        ret.target = call.pc + kInstBytes;
-        ret.taken = true;
-        queue_.push_back(ret);
+        *out++ = call.call;
+        out = emitBody(fns_[call.callee].body, call.pattern, out);
+        *out++ = call.ret;
     }
-
-    TraceRecord loop;
-    loop.pc = region.loopBranchPc;
-    loop.cls = InstClass::CondBranch;
-    loop.taken = !last_iteration;
-    loop.target = region.fn.entry;
-    queue_.push_back(loop);
+    *out = region.loop;
+    out->taken = !last_iteration;
+    queueHead_ = 0;
+    queueEnd_ = static_cast<std::size_t>(out + 1 - queue_.data());
 }
 
 void
 Program::refill()
 {
-    queue_.clear();
-    queueHead_ = 0;
-    while (queue_.empty()) {
-        const bool last = itersLeft_ <= 1;
-        emitIteration(last);
-        if (last) {
-            currentRegion_ = chooseNextRegion();
-            const RegionSpec &spec = regions_[currentRegion_].spec;
-            itersLeft_ = static_cast<unsigned>(
-                rng_.range(spec.minIters, spec.maxIters));
-        } else {
-            --itersLeft_;
-        }
+    const bool last = itersLeft_ <= 1;
+    emitIteration(last);
+    if (last) {
+        currentRegion_ = chooseNextRegion();
+        const RegionSpec &spec = regions_[currentRegion_].spec;
+        itersLeft_ = static_cast<unsigned>(
+            rng_.range(spec.minIters, spec.maxIters));
+    } else {
+        --itersLeft_;
     }
 }
 
@@ -434,7 +453,7 @@ Program::next(TraceRecord &rec)
     assert(finalized_);
     if (emitted_ >= length_)
         return false;
-    if (queueHead_ >= queue_.size())
+    if (queueHead_ >= queueEnd_)
         refill();
     rec = queue_[queueHead_++];
     ++emitted_;
@@ -447,11 +466,11 @@ Program::nextBatch(TraceRecord *out, std::size_t n)
     assert(finalized_);
     std::size_t total = 0;
     while (total < n && emitted_ < length_) {
-        if (queueHead_ >= queue_.size())
+        if (queueHead_ >= queueEnd_)
             refill();
-        const std::size_t take = std::min(
-            {n - total, queue_.size() - queueHead_,
-             static_cast<std::size_t>(length_ - emitted_)});
+        const std::size_t take =
+            std::min({n - total, queueEnd_ - queueHead_,
+                      static_cast<std::size_t>(length_ - emitted_)});
         std::copy_n(queue_.data() + queueHead_, take, out + total);
         queueHead_ += take;
         emitted_ += take;
@@ -466,11 +485,10 @@ Program::reset()
     rng_ = Rng(mix64(seed_));
     for (auto &p : patterns_)
         p->reset();
-    queue_.clear();
     queueHead_ = 0;
+    queueEnd_ = 0;
     std::fill(siteCounters_.begin(), siteCounters_.end(), 0u);
     emitted_ = 0;
-    memSiteCounter_ = 0;
     currentRegion_ = 0;
     if (!regions_.empty()) {
         const RegionSpec &spec = regions_[0].spec;

@@ -200,28 +200,68 @@ class Program : public TraceSource
          * the perceptron.
          */
         unsigned period = 0;
-        unsigned siteId = ~0u;   //!< per-site state index
         bool isCall = false;
-        bool isReturn = false;
     };
 
   private:
-    /** A built shared function: body sites with placeholder patterns. */
+    /**
+     * One record of a body whose content changes per execution: a
+     * memory site's effective address or a conditional branch's
+     * outcome.
+     */
+    struct Patch
+    {
+        enum class Kind : std::uint8_t
+        {
+            Memory,   //!< effAddr from `pattern` (nullptr: the caller's)
+            Periodic, //!< taken by the site's period, plus noise
+            Biased,   //!< taken with probability `bias`
+        };
+        Kind kind = Kind::Memory;
+        std::uint32_t at = 0;     //!< record index in the body
+        std::uint32_t period = 0; //!< Periodic
+        std::uint32_t siteId = 0; //!< Periodic: index of its counter
+        double bias = 0.0;        //!< Biased
+        DataPattern *pattern = nullptr; //!< Memory
+    };
+
+    /**
+     * A body compiled for emission.  pc, class and branch target are
+     * fixed per site, so each record is built once; emission copies
+     * them in bulk and applies the patches in site order, which is the
+     * order the RNG draws are made in.
+     */
+    struct Body
+    {
+        std::vector<TraceRecord> records;
+        std::vector<Patch> patches;
+    };
+
+    /** A built shared function; the return is emitted by the caller. */
     struct BuiltFn
     {
         FuncDesc fn;
-        std::vector<Site> body; //!< excludes the return
+        Body body;
         Addr returnPc = 0;
+    };
+
+    /** One call a region makes per iteration. */
+    struct CallSite
+    {
+        TraceRecord call;   //!< the call instruction
+        TraceRecord ret;    //!< the callee's return to after the call
+        unsigned callee = 0;
+        DataPattern *pattern = nullptr; //!< what the callee dereferences
+        double probability = 1.0;
     };
 
     /** A built region. */
     struct BuiltRegion
     {
         RegionSpec spec;
-        FuncDesc fn;
-        std::vector<Site> body;   //!< block bodies + block branches
-        std::vector<Site> calls;  //!< one call site per CallSpec
-        Addr loopBranchPc = 0;    //!< back-edge conditional branch
+        Body body;                   //!< block bodies + block branches
+        std::vector<CallSite> calls; //!< one per CallSpec
+        TraceRecord loop;            //!< back edge; taken set per visit
         std::vector<double> transitions; //!< outgoing weights
     };
 
@@ -230,16 +270,22 @@ class Program : public TraceSource
     void buildRegion(BuiltRegion &region, unsigned index);
     void buildSharedFn(BuiltFn &fn, const SharedFnSpec &spec);
 
+    /** Compile @p sites into @p body, numbering periodic branches. */
+    void compile(const std::vector<Site> &sites, Body &body);
+
+    /**
+     * Emit @p body at @p out, resolving caller-supplied memory sites
+     * to @p caller; returns the end of the emitted records.
+     */
+    TraceRecord *emitBody(const Body &body, DataPattern *caller,
+                          TraceRecord *out);
+
     /** Emit one iteration of the current region into the queue. */
     void emitIteration(bool last_iteration);
 
-    void emitSite(const Site &site, unsigned pattern_override);
-
-    /** Refill the drained queue with at least one record. */
+    /** Refill the drained queue with the next iteration. */
     void refill();
 
-    /** Assign site ids to every conditional-branch site. */
-    void assignSiteIds();
     unsigned chooseNextRegion();
 
     std::uint64_t seed_;
@@ -255,16 +301,15 @@ class Program : public TraceSource
     // Execution state (reconstructed by reset()).
     Rng rng_;
     std::vector<std::uint32_t> siteCounters_; //!< periodic-branch state
-    // Pending records: emission always lands in a fully drained
-    // queue, so a flat vector plus a read cursor replaces the old
-    // deque — refills reuse one allocation and bulk consumers copy
-    // contiguous spans instead of popping records one at a time.
+    // Pending records of the current iteration.  Sized at finalize()
+    // for the longest iteration, so emission writes through a pointer
+    // and bulk consumers copy contiguous spans.
     std::vector<TraceRecord> queue_;
     std::size_t queueHead_ = 0;
+    std::size_t queueEnd_ = 0;
     InstCount emitted_ = 0;
     unsigned currentRegion_ = 0;
     unsigned itersLeft_ = 0;
-    std::uint64_t memSiteCounter_ = 0;
 };
 
 } // namespace chirp

@@ -1,69 +1,21 @@
 #include "util/random.hh"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
+
+#include "util/logging.hh"
 
 namespace chirp
 {
 
-Rng::Rng(std::uint64_t seed)
-    : state_(seed ? seed : 0x9e3779b97f4a7c15ull)
+void
+Rng::belowZero()
 {
-}
-
-std::uint64_t
-Rng::next()
-{
-    std::uint64_t x = state_;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    state_ = x;
-    return x * 0x2545f4914f6cdd1dull;
-}
-
-std::uint64_t
-Rng::below(std::uint64_t bound)
-{
-    assert(bound != 0);
-    // Rejection sampling to remove modulo bias; the loop terminates
-    // with probability > 1/2 per iteration.
-    const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % bound);
-    std::uint64_t draw;
-    do {
-        draw = next();
-    } while (draw >= limit);
-    return draw % bound;
-}
-
-std::uint64_t
-Rng::range(std::uint64_t lo, std::uint64_t hi)
-{
-    assert(lo <= hi);
-    return lo + below(hi - lo + 1);
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
+    chirp_panic("Rng::below(0): the range [0, 0) is empty");
 }
 
 Rng::Zipf::Zipf(std::size_t n, double s)
 {
-    assert(n > 0);
+    assert(n > 0 && n <= UINT32_MAX);
     cdf_.resize(n);
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -72,14 +24,18 @@ Rng::Zipf::Zipf(std::size_t n, double s)
     }
     for (auto &v : cdf_)
         v /= sum;
-}
 
-std::size_t
-Rng::Zipf::operator()(Rng &rng) const
-{
-    const double u = rng.uniform();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::size_t>(it - cdf_.begin());
+    // guide_[b] = lower_bound(cdf_, b / kGuideBuckets), found in one
+    // merge pass because both the edges and the CDF ascend.
+    guide_.resize(kGuideBuckets);
+    std::size_t rank = 0;
+    for (std::size_t b = 0; b < kGuideBuckets; ++b) {
+        const double edge =
+            static_cast<double>(b) / static_cast<double>(kGuideBuckets);
+        while (rank < n && cdf_[rank] < edge)
+            ++rank;
+        guide_[b] = static_cast<std::uint32_t>(rank);
+    }
 }
 
 } // namespace chirp

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "trace/synthetic/patterns.hh"
 
@@ -70,15 +71,27 @@ TEST(StreamPattern, NoRevisitsByDefault)
     }
 }
 
+/**
+ * DataPattern::reset promises a rewind: after it, the pattern must
+ * emit exactly what a freshly constructed one does for the same draws.
+ */
+void
+expectResetRestarts(DataPattern &pattern)
+{
+    std::vector<Addr> fresh;
+    Rng rng(77);
+    for (int i = 0; i < 500; ++i)
+        fresh.push_back(pattern.nextAddr(rng));
+    pattern.reset();
+    Rng again(77);
+    for (int i = 0; i < 500; ++i)
+        ASSERT_EQ(pattern.nextAddr(again), fresh[i]) << "access " << i;
+}
+
 TEST(StreamPattern, ResetRestarts)
 {
-    StreamPattern stream(kBase, 8, 2);
-    Rng rng(1);
-    const Addr first = stream.nextAddr(rng);
-    for (int i = 0; i < 7; ++i)
-        stream.nextAddr(rng);
-    stream.reset();
-    EXPECT_EQ(stream.nextAddr(rng), first);
+    StreamPattern stream(kBase, 64, 2, 64, /*revisit=*/0.5, /*lag=*/8);
+    expectResetRestarts(stream);
 }
 
 TEST(ZipfPattern, StaysInFootprint)
@@ -121,6 +134,12 @@ TEST(ZipfPattern, LineSlotsQuantizeOffsets)
         EXPECT_EQ(off % 64, 0u);
 }
 
+TEST(ZipfPattern, ResetRestarts)
+{
+    ZipfPattern zipf(kBase, 100, 0.9, 42);
+    expectResetRestarts(zipf);
+}
+
 TEST(UniformPattern, CoversFootprint)
 {
     UniformPattern uniform(kBase, 16);
@@ -130,6 +149,12 @@ TEST(UniformPattern, CoversFootprint)
         pages.insert(pageNumber(uniform.nextAddr(rng)));
     EXPECT_EQ(pages.size(), 16u);
     EXPECT_TRUE(uniform.transient());
+}
+
+TEST(UniformPattern, ResetRestarts)
+{
+    UniformPattern uniform(kBase, 37, 4);
+    expectResetRestarts(uniform);
 }
 
 TEST(ChasePattern, VisitsEveryPageBeforeRepeating)
@@ -152,6 +177,12 @@ TEST(ChasePattern, DerefsPerPage)
         EXPECT_EQ(pageNumber(chase.nextAddr(rng)), page);
         EXPECT_EQ(pageNumber(chase.nextAddr(rng)), page);
     }
+}
+
+TEST(ChasePattern, ResetRestarts)
+{
+    ChasePattern chase(kBase, 16, 3, 99);
+    expectResetRestarts(chase);
 }
 
 TEST(TiledPattern, AccessesStayInTileThenAdvance)
@@ -182,6 +213,12 @@ TEST(TiledPattern, TileClampedToFootprint)
                           pageNumber(kBase);
         EXPECT_LT(page, 4u);
     }
+}
+
+TEST(TiledPattern, ResetRestarts)
+{
+    TiledPattern tiled(kBase, 50, 7, 30);
+    expectResetRestarts(tiled);
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include "trace/synthetic/program.hh"
 #include "trace/synthetic/workload_factory.hh"
+#include "trace/workload_suite.hh"
+#include "util/hashing.hh"
 
 namespace chirp
 {
@@ -216,6 +218,96 @@ TEST(Program, CodeLayoutFootprint)
     auto prog = tinyProgram();
     EXPECT_GT(prog->layout().codePages(), 0u);
     EXPECT_EQ(prog->dataFootprintPages(), 64u + 256u);
+}
+
+/** Fold one record into a stream digest. */
+std::uint64_t
+foldRecord(std::uint64_t digest, const TraceRecord &rec)
+{
+    digest = hashCombine(digest, rec.pc);
+    digest = hashCombine(digest, rec.effAddr);
+    digest = hashCombine(digest, rec.target);
+    return hashCombine(digest, (static_cast<std::uint64_t>(rec.cls) << 1) |
+                                   (rec.taken ? 1u : 0u));
+}
+
+TEST(Program, GoldenStreams)
+{
+    // Digests of the first 100k records of one makeSuite workload per
+    // category at two suite seeds, produced by the original
+    // record-by-record generator.  The stream is a contract: trace-cache
+    // files are keyed by workload configuration alone, so any drift
+    // would silently mix old cached traces with new ones.
+    struct Case
+    {
+        std::uint64_t seed;
+        const char *name;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {42, "spec_000", 0x6e15a751f12f1c48ull},
+        {42, "db_001", 0x81517dbd1e0046d6ull},
+        {42, "crypto_002", 0x9c854abf459a2fa4ull},
+        {42, "sci_003", 0xcfaf9fcca903e518ull},
+        {42, "web_004", 0x55fb4b717e73e678ull},
+        {42, "bigdata_005", 0xf346fa653df9e5adull},
+        {7, "spec_000", 0xb6c441c63fb11b48ull},
+        {7, "db_001", 0x44daca4f82d95c40ull},
+        {7, "crypto_002", 0x69ca2a4dd8e4cba9ull},
+        {7, "sci_003", 0xd7516b59b58f259eull},
+        {7, "web_004", 0x315e26e97eaaf1c4ull},
+        {7, "bigdata_005", 0x1b745b2e38ff5aeeull},
+    };
+    constexpr InstCount kLength = 100000;
+    std::size_t checked = 0;
+    for (const std::uint64_t seed : {42ull, 7ull}) {
+        SuiteOptions options;
+        options.size = 6;
+        options.traceLength = kLength;
+        options.baseSeed = seed;
+        for (const WorkloadConfig &config : makeSuite(options)) {
+            const Case *want = nullptr;
+            for (const Case &c : cases) {
+                if (c.seed == seed && config.name == c.name)
+                    want = &c;
+            }
+            ASSERT_NE(want, nullptr) << config.name;
+
+            auto one = buildWorkload(config);
+            std::uint64_t digest = 0;
+            InstCount n = 0;
+            TraceRecord rec;
+            while (one->next(rec)) {
+                digest = foldRecord(digest, rec);
+                ++n;
+            }
+            EXPECT_EQ(n, kLength);
+            EXPECT_EQ(digest, want->digest)
+                << "next() stream of " << config.name << " seed " << seed;
+
+            // Batch sizes that straddle iteration boundaries in every
+            // way, including single records.
+            auto batched = buildWorkload(config);
+            const std::size_t sizes[] = {1, 7, 256, 4096, 33, 255};
+            std::vector<TraceRecord> buf(4096);
+            digest = 0;
+            n = 0;
+            std::size_t got = 0;
+            for (std::size_t k = 0;
+                 (got = batched->nextBatch(buf.data(), sizes[k % 6])) > 0;
+                 ++k) {
+                for (std::size_t i = 0; i < got; ++i)
+                    digest = foldRecord(digest, buf[i]);
+                n += got;
+            }
+            EXPECT_EQ(n, kLength);
+            EXPECT_EQ(digest, want->digest) << "nextBatch() stream of "
+                                            << config.name << " seed "
+                                            << seed;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, std::size(cases));
 }
 
 } // namespace
