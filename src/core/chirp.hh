@@ -121,6 +121,22 @@ class ChirpPolicy final : public ReplacementPolicy
         memoValid_ = false;
     }
 
+    /**
+     * onInstRetired() then onBranchRetired() for instructions @p lo ..
+     * @p hi - 1 of a PC column, classes from @p cls_at(j): the
+     * histories advance in one ControlFlowHistory::retireRun.
+     */
+    template <typename ClsAt>
+    void
+    retireRun(const Addr *pcs, std::size_t lo, std::size_t hi,
+              ClsAt cls_at)
+    {
+        history_.retireRun(pcs, lo, hi, cls_at);
+        // Only a cache: a needless invalidation recomputes the same
+        // signature.
+        memoValid_ = false;
+    }
+
     void
     onAccessBegin(const AccessInfo &info) override
     {

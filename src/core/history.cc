@@ -56,6 +56,15 @@ ControlFlowHistory::ControlFlowHistory(const HistoryConfig &config)
       pathMask_(maskBits(config.pathPcBits)),
       branchMask_(maskBits(config.branchPcBits))
 {
+    for (unsigned c = 0; c < unsigned(InstClass::NumClasses); ++c) {
+        const auto cls = static_cast<InstClass>(c);
+        const bool on_path =
+            config.pathFilter == PathFilter::All ||
+            (config.pathFilter == PathFilter::Memory && isMemory(cls)) ||
+            (config.pathFilter == PathFilter::Branch && isBranch(cls));
+        if (on_path)
+            pathClasses_ |= 1u << c;
+    }
 }
 
 void

@@ -21,9 +21,11 @@
 #ifndef CHIRP_CORE_HISTORY_HH
 #define CHIRP_CORE_HISTORY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "trace/trace_record.hh"
 #include "util/bitfield.hh"
 #include "util/types.hh"
 
@@ -91,6 +93,9 @@ class WideShiftHistory
   private:
     /** Multi-word shift for registers wider than 64 bits. */
     void pushWide(std::uint64_t value);
+
+    // retireRun() keeps one-word registers in locals.
+    friend class ControlFlowHistory;
 
     unsigned events_;
     unsigned shift_;
@@ -186,6 +191,60 @@ class ControlFlowHistory
     }
 
     /**
+     * Retire instructions @p lo .. @p hi - 1, given their PCs and
+     * their classes as @p cls_at(j).  Record by record this is what
+     * CHiRP's retire hooks do: onAccess() if the class passes the
+     * path filter, then onCondBranch() or onUncondIndirectBranch()
+     * for those two branch classes.  When every register is one word
+     * wide (every paper configuration), the registers stay in locals
+     * for the whole run.
+     */
+    template <typename ClsAt>
+    void
+    retireRun(const Addr *pcs, std::size_t lo, std::size_t hi,
+              ClsAt cls_at)
+    {
+        const unsigned on_path = pathClasses_;
+        if (!(path_.single_ && cond_.single_ && uncond_.single_)) {
+            for (std::size_t j = lo; j < hi; ++j) {
+                const InstClass cls = cls_at(j);
+                if ((on_path >> unsigned(cls)) & 1)
+                    onAccess(pcs[j]);
+                if (cls == InstClass::CondBranch)
+                    onCondBranch(pcs[j]);
+                else if (cls == InstClass::UncondIndirect)
+                    onUncondIndirectBranch(pcs[j]);
+            }
+            return;
+        }
+        // WideShiftHistory::push() on locals, one register each.
+        const auto push = [](std::uint64_t reg, const WideShiftHistory &h,
+                             std::uint64_t value) {
+            return ((reg << h.shift_) | (value & h.shiftMask_)) &
+                   h.widthMask_;
+        };
+        const bool use_cond = config_.useCondHist;
+        const bool use_uncond = config_.useUncondHist;
+        std::uint64_t path = path_.folded_;
+        std::uint64_t cond = cond_.folded_;
+        std::uint64_t uncond = uncond_.folded_;
+        for (std::size_t j = lo; j < hi; ++j) {
+            const InstClass cls = cls_at(j);
+            const Addr pc = pcs[j];
+            if ((on_path >> unsigned(cls)) & 1)
+                path = push(path, path_, (pc >> pathLow_) & pathMask_);
+            if (cls == InstClass::CondBranch && use_cond)
+                cond = push(cond, cond_, (pc >> branchLow_) & branchMask_);
+            else if (cls == InstClass::UncondIndirect && use_uncond)
+                uncond =
+                    push(uncond, uncond_, (pc >> branchLow_) & branchMask_);
+        }
+        path_.folded_ = path;
+        cond_.folded_ = cond;
+        uncond_.folded_ = uncond;
+    }
+
+    /**
      * Compose the 64-bit signature for an access by @p pc using the
      * *current* (pre-update) history contents.  With incremental
      * folds this is three loads and three XORs.
@@ -224,6 +283,8 @@ class ControlFlowHistory
     unsigned branchLow_;
     std::uint64_t pathMask_;
     std::uint64_t branchMask_;
+    //! Bit c set: instruction class c passes the path filter.
+    unsigned pathClasses_ = 0;
 };
 
 } // namespace chirp

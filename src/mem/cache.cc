@@ -79,11 +79,17 @@ Cache::probe(Addr addr) const
 void
 Cache::reset()
 {
+    invalidateAll();
+    hits_ = 0;
+    misses_ = 0;
+}
+
+void
+Cache::invalidateAll()
+{
     std::fill(tags_.begin(), tags_.end(), 0);
     std::fill(fingerprints_.begin(), fingerprints_.end(), 0);
     std::fill(recency_.begin(), recency_.end(), freshRecency_);
-    hits_ = 0;
-    misses_ = 0;
 }
 
 } // namespace chirp

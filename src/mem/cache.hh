@@ -1,9 +1,9 @@
 /**
  * @file
  * A set-associative cache model with true LRU replacement, used for
- * the L1i/L1d/L2/L3 levels of the timing-approximate simulator
- * (Table II).  Timing, not data, is modeled: an access either hits
- * or misses-and-fills.
+ * the L1i/L1d/L2/L3 levels of the timing-approximate simulator and
+ * for its two L1 TLBs (Table II).  Timing, not data, is modeled: an
+ * access either hits or misses-and-fills.
  *
  * Storage per way is a tag word and a one-byte fingerprint of it;
  * per set it is one recency word.
@@ -62,7 +62,20 @@ class Cache
     access(Addr addr, bool write)
     {
         (void)write; // allocate-on-write; no dirty-state modeling needed
-        const auto [set, stored] = slotOf(addr);
+        return accessKey(addr >> lineShift_);
+    }
+
+    /**
+     * access() by key rather than by byte address: the low bits of
+     * @p key select the set and the rest is the tag.  A line number
+     * is one such key; the L1 TLBs use Tlb::keyOf, which folds the
+     * ASID and page size into the tag bits.
+     * @return true on hit.
+     */
+    bool
+    accessKey(Addr key)
+    {
+        const auto [set, stored] = slotOfKey(key);
         // Most hits (every fetch after the first in a line) land on
         // the MRU way, whose recency is already right.
         if (tags_[set * assoc_ + (recency_[set] & 0xf)] == stored) {
@@ -78,6 +91,20 @@ class Cache
             promoted(recency_[set], static_cast<std::uint32_t>(way));
         ++hits_;
         return true;
+    }
+
+    /**
+     * @p n >= 1 consecutive accessKey(@p key) calls.  The first one
+     * hits or fills and leaves the line MRU, so the n - 1 repeats are
+     * hits that change no recency.
+     * @return the first access's hit result.
+     */
+    bool
+    accessKeyRun(Addr key, std::uint64_t n)
+    {
+        const bool first = accessKey(key);
+        hits_ += n - 1;
+        return first;
     }
 
     /**
@@ -102,11 +129,16 @@ class Cache
     /** Drop all lines and zero statistics. */
     void reset();
 
+    /** Drop all lines but keep the statistics (a flush). */
+    void invalidateAll();
+
     const CacheConfig &config() const { return config_; }
     Cycles latency() const { return config_.latency; }
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
+    /** Counted lookups: hits plus misses, prefetch fills included. */
+    std::uint64_t accesses() const { return hits_ + misses_; }
 
   private:
     /** Where a line lives: its set and its stored tag (tag plus one). */
@@ -119,7 +151,12 @@ class Cache
     Slot
     slotOf(Addr addr) const
     {
-        const Addr key = addr >> lineShift_;
+        return slotOfKey(addr >> lineShift_);
+    }
+
+    Slot
+    slotOfKey(Addr key) const
+    {
         return {static_cast<std::size_t>(key & setMask_),
                 (key >> setShift_) + 1};
     }

@@ -1,10 +1,10 @@
 /**
  * @file
- * Generic set-associative array shared by the TLBs and the BTB.
+ * Generic set-associative array shared by the L2 TLB and the BTB.
  *
  * The array manages tags, valid bits and a per-slot payload; callers
  * layer replacement on top (the BTB keeps a recency tick in the
- * payload, TLBs delegate to a ReplacementPolicy).
+ * payload, the TLB delegates to a ReplacementPolicy).
  *
  * Storage is structure-of-arrays: the valid bytes and tags of a set
  * are contiguous runs, so the per-access tag match and invalid-way

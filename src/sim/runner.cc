@@ -53,16 +53,37 @@ struct GhrpGroup
 };
 
 /**
+ * Advance a GHRP global history register over records @p lo .. @p hi
+ * - 1: each retired conditional branch shifts in its PC slice and
+ * outcome.
+ */
+std::uint64_t
+ghrpRetireRun(std::uint64_t hist, unsigned shift, const Addr *pcs,
+              const std::uint8_t *meta, std::size_t lo, std::size_t hi)
+{
+    for (std::size_t j = lo; j < hi; ++j) {
+        if (static_cast<InstClass>(meta[j] & ColumnarTrace::kClsMask) !=
+            InstClass::CondBranch)
+            continue;
+        const std::uint64_t event =
+            (bits(pcs[j], shift, 2) << 1) |
+            ((meta[j] & ColumnarTrace::kTakenBit) != 0 ? 1 : 0);
+        hist = (hist << shift) | event;
+    }
+    return hist;
+}
+
+/**
  * Precompute every group's replay stream in a single walk of the
  * record stream: at each L2 event capture, per CHiRP group,
  * foldXor(history.signature(pc), signatureBits) — and per GHRP
  * group the current global history register — using the pre-update
- * state exactly as onAccessBegin does; then apply each group's
- * history update rules for the record (onInstRetired's path filter
- * and onBranchRetired's class split for CHiRP, the conditional-
- * branch outcome/address shift for GHRP).  Sharing the walk means
- * the 30M-record retire stream is touched once per workload however
- * many streamed policies ride on it.
+ * state exactly as onAccessBegin does.  Between two events, each
+ * group retires the records in between as one run (onInstRetired's
+ * path filter and onBranchRetired's class split for CHiRP, the
+ * conditional-branch outcome/address shift for GHRP).  Sharing the
+ * walk means the 30M-record retire stream is touched once per
+ * workload however many streamed policies ride on it.
  */
 void
 computeReplayStreams(std::vector<SigGroup> &groups,
@@ -82,11 +103,23 @@ computeReplayStreams(std::vector<SigGroup> &groups,
     for (GhrpGroup &group : ghrp_groups)
         group.hists.reserve(events.size());
     // Only the pc and meta columns feed the histories; the effective
-    // address and target columns are never touched here.
+    // address and target columns are never touched here.  Records
+    // after the last event can no longer matter.
     const Addr *pcs = records.pc();
-    std::size_t e = 0;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        while (e < events.size() && events[e].now == i) {
+    const std::uint8_t *meta = records.meta();
+    const auto cls_at = [meta](std::size_t j) {
+        return static_cast<InstClass>(meta[j] & ColumnarTrace::kClsMask);
+    };
+    std::size_t retired = 0;
+    for (std::size_t e = 0; e < events.size();) {
+        const auto now = static_cast<std::size_t>(events[e].now);
+        for (ControlFlowHistory &h : hist)
+            h.retireRun(pcs, retired, now, cls_at);
+        for (std::size_t g = 0; g < ghrp_groups.size(); ++g)
+            ghist[g] = ghrpRetireRun(ghist[g], ghrp_groups[g].historyShift,
+                                     pcs, meta, retired, now);
+        retired = now;
+        for (; e < events.size() && events[e].now == now; ++e) {
             for (std::size_t g = 0; g < groups.size(); ++g) {
                 groups[g].sigs.push_back(
                     static_cast<std::uint16_t>(foldXor(
@@ -95,39 +128,6 @@ computeReplayStreams(std::vector<SigGroup> &groups,
             }
             for (std::size_t g = 0; g < ghrp_groups.size(); ++g)
                 ghrp_groups[g].hists.push_back(ghist[g]);
-            ++e;
-        }
-        if (e == events.size())
-            break; // trailing records can no longer matter
-        const Addr pc = pcs[i];
-        const InstClass cls = records.cls(i);
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            bool on_path = true;
-            switch (groups[g].history.pathFilter) {
-              case PathFilter::All:
-                break;
-              case PathFilter::Memory:
-                on_path = isMemory(cls);
-                break;
-              case PathFilter::Branch:
-                on_path = isBranch(cls);
-                break;
-            }
-            if (on_path)
-                hist[g].onAccess(pc);
-            if (cls == InstClass::CondBranch)
-                hist[g].onCondBranch(pc);
-            else if (cls == InstClass::UncondIndirect)
-                hist[g].onUncondIndirectBranch(pc);
-        }
-        if (!ghrp_groups.empty() && cls == InstClass::CondBranch) {
-            for (std::size_t g = 0; g < ghrp_groups.size(); ++g) {
-                const unsigned shift = ghrp_groups[g].historyShift;
-                const std::uint64_t event =
-                    (bits(pc, shift, 2) << 1) |
-                    (records.taken(i) ? 1 : 0);
-                ghist[g] = (ghist[g] << shift) | event;
-            }
         }
     }
 }

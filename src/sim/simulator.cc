@@ -66,29 +66,25 @@ walkMisses(PageWalker &walker, const std::uint8_t *hits,
 }
 
 /**
- * Column scratch for one record chunk of the batched full-pipeline
- * loop: separate i-side and d-side lanes (the d-side lane is compact
- * — only memory records contribute, in record order).
+ * Column scratch for one record chunk of the batched pipeline: the
+ * L1 TLB keys of both sides and their hit lanes.
  */
 struct StepChunk
 {
-    AccessInfo iinfos[kReplayBatch];
+    // i-side lane, one slot per run of consecutive same-page fetches:
+    // irunStart[r] is the first record of run r.  ihits is per record.
     Addr ivaddrs[kReplayBatch];
     Addr ikeys[kReplayBatch];
-    std::uint64_t inows[kReplayBatch];
     std::uint8_t ishifts[kReplayBatch];
-    std::uint8_t ihits[kReplayBatch];
-    // Run-compressed i-side lane: runStart[r] is the first record of
-    // run r (consecutive same-page fetches), and the i-side columns
-    // above are then indexed per run, not per record.  ihits stays
-    // per record.
     std::uint16_t irunStart[kReplayBatch];
+    std::uint8_t ihits[kReplayBatch];
 
-    AccessInfo dinfos[kReplayBatch];
+    // d-side lane, compact: one slot per memory record, in record
+    // order; drec[d] is the record of slot d.
     Addr dvaddrs[kReplayBatch];
     Addr dkeys[kReplayBatch];
-    std::uint64_t dnows[kReplayBatch];
     std::uint8_t dshifts[kReplayBatch];
+    std::uint16_t drec[kReplayBatch];
     std::uint8_t dhits[kReplayBatch];
 
     // Transpose buffers for sources that only hand out row-major
@@ -677,127 +673,136 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
 
     // Batched tier: each chunk runs an L1-TLB pre-pass (both L1 TLBs
     // are plain LRU and evolve independently of everything below
-    // them, so their lookups batch safely), then assembles costs per
-    // record in original order, descending to the shared L2/walker
-    // and caches only where the pre-pass recorded a miss.  Chunks are
-    // split at the warmup boundary so the snapshot below observes
-    // exactly the pre-boundary counters.  CHIRP_TRACE_FORMAT=legacy
-    // keeps the one-record-at-a-time step() reference loop.
+    // them, so their lookups batch safely), then assembles costs in
+    // original record order, descending to the shared L2/walker only
+    // where the pre-pass recorded a miss.  Chunks are split at the
+    // warmup boundary so the snapshot below observes exactly the
+    // pre-boundary counters.  CHIRP_TRACE_FORMAT=legacy keeps the
+    // one-record-at-a-time step() reference loop.
     const bool batched = traceFormat() != TraceFormat::Legacy;
     auto scratch = batched ? std::make_unique<StepChunk>() : nullptr;
-    // Same-page i-run compression needs the L1i's repeat hits to be
-    // provable policy no-ops; that holds only for the devirtualized
-    // plain-LRU dispatch (CHIRP_FORCE_VIRTUAL clears it).
-    const bool irun = batched && tlbs_->l1i().hasLruMemo();
+    // With caches and the branch unit both off, a record's cost is 1
+    // plus its L1-miss stalls, so the cost pass visits only the
+    // misses (see runChunk).
+    const bool per_record = config_.simulateCaches || config_.simulateBranch;
     const auto runChunk = [&](const Addr *pc, const Addr *ea,
                               const Addr *tg, const std::uint8_t *meta,
                               std::size_t m,
                               std::uint64_t base_now) -> Cycles {
         StepChunk &c = *scratch;
-        // Pass A: i-side L1 lookups for the whole chunk.  Sequential
-        // fetch makes the i-stream long runs of same-page addresses;
-        // with the plain-LRU L1i every post-first access of a run is
-        // a provable repeat hit, so each run lowers to one
-        // accessRun() probe plus bulk accounting.  The forced-virtual
-        // reference build (and any non-LRU L1) keeps the per-record
-        // batch, which the dispatch-equality tests compare against.
-        if (irun) {
-            std::size_t nr = 0;
-            for (std::size_t j = 0; j < m;) {
-                const Addr page = pc[j] >> kPageShift;
-                std::size_t k = j + 1;
-                while (k < m && (pc[k] >> kPageShift) == page)
-                    ++k;
-                AccessInfo &info = c.iinfos[nr];
-                info.pc = pc[j];
-                info.vaddr = pc[j];
-                info.cls = static_cast<InstClass>(
-                    meta[j] & ColumnarTrace::kClsMask);
-                info.isInstr = true;
-                c.ivaddrs[nr] = pc[j];
-                c.inows[nr] = base_now + j;
-                c.ishifts[nr] = static_cast<std::uint8_t>(
-                    tlbs_->pageShiftFor(pc[j]));
-                c.irunStart[nr] = static_cast<std::uint16_t>(j);
-                ++nr;
-                j = k;
-            }
-            Tlb::keysOf(c.ivaddrs, c.ishifts, nr, activeAsid_, c.ikeys);
-            Tlb &l1i = tlbs_->l1i();
-            for (std::size_t r = 0; r < nr; ++r) {
-                const std::size_t start = c.irunStart[r];
-                const std::size_t len =
-                    (r + 1 < nr ? c.irunStart[r + 1] : m) - start;
-                c.ihits[start] = l1i.accessRun(c.iinfos[r], c.ikeys[r],
-                                               activeAsid_, c.inows[r],
-                                               len)
-                                     ? 1
-                                     : 0;
-                // Post-first accesses of a run always hit.
-                std::memset(c.ihits + start + 1, 1, len - 1);
-            }
-        } else {
-            for (std::size_t j = 0; j < m; ++j) {
-                AccessInfo &info = c.iinfos[j];
-                info.pc = pc[j];
-                info.vaddr = pc[j];
-                info.cls = static_cast<InstClass>(
-                    meta[j] & ColumnarTrace::kClsMask);
-                info.isInstr = true;
-                c.ivaddrs[j] = pc[j];
-                c.inows[j] = base_now + j;
-                c.ishifts[j] = static_cast<std::uint8_t>(
-                    tlbs_->pageShiftFor(pc[j]));
-            }
-            Tlb::keysOf(c.ivaddrs, c.ishifts, m, activeAsid_, c.ikeys);
-            tlbs_->l1i().accessBatch(c.iinfos, c.ikeys, c.inows, m,
-                                     activeAsid_, c.ihits);
+        const auto clsAt = [meta](std::size_t j) {
+            return static_cast<InstClass>(meta[j] & ColumnarTrace::kClsMask);
+        };
+        // Pass A: i-side L1 lookups.  Sequential fetch makes the
+        // i-stream long runs of same-page addresses; every access of
+        // a run after the first is a hit that leaves the LRU order as
+        // it is, so each run is one keyed lookup.
+        std::size_t nr = 0;
+        for (std::size_t j = 0; j < m;) {
+            const Addr page = pc[j] >> kPageShift;
+            std::size_t k = j + 1;
+            while (k < m && (pc[k] >> kPageShift) == page)
+                ++k;
+            c.ivaddrs[nr] = pc[j];
+            c.ishifts[nr] =
+                static_cast<std::uint8_t>(tlbs_->pageShiftFor(pc[j]));
+            c.irunStart[nr] = static_cast<std::uint16_t>(j);
+            ++nr;
+            j = k;
+        }
+        Tlb::keysOf(c.ivaddrs, c.ishifts, nr, activeAsid_, c.ikeys);
+        Cache &l1i = tlbs_->l1i();
+        for (std::size_t r = 0; r < nr; ++r) {
+            const std::size_t start = c.irunStart[r];
+            const std::size_t len =
+                (r + 1 < nr ? c.irunStart[r + 1] : m) - start;
+            c.ihits[start] = l1i.accessKeyRun(c.ikeys[r], len) ? 1 : 0;
+            std::memset(c.ihits + start + 1, 1, len - 1);
         }
         // Pass B: d-side L1 lookups for the chunk's memory records.
         std::size_t nd = 0;
         for (std::size_t j = 0; j < m; ++j) {
-            const InstClass cls = static_cast<InstClass>(
-                meta[j] & ColumnarTrace::kClsMask);
-            if (!isMemory(cls))
+            if (!isMemory(clsAt(j)))
                 continue;
-            AccessInfo &info = c.dinfos[nd];
-            info.pc = pc[j];
-            info.vaddr = ea[j];
-            info.cls = cls;
-            info.isInstr = false;
             c.dvaddrs[nd] = ea[j];
-            c.dnows[nd] = base_now + j;
-            c.dshifts[nd] = static_cast<std::uint8_t>(
-                tlbs_->pageShiftFor(ea[j]));
+            c.dshifts[nd] =
+                static_cast<std::uint8_t>(tlbs_->pageShiftFor(ea[j]));
+            c.drec[nd] = static_cast<std::uint16_t>(j);
             ++nd;
         }
         Tlb::keysOf(c.dvaddrs, c.dshifts, nd, activeAsid_, c.dkeys);
-        tlbs_->l1d().accessBatch(c.dinfos, c.dkeys, c.dnows, nd,
-                                 activeAsid_, c.dhits);
-        // Pass C: per-record cost assembly in original order; the
-        // shared structures below the L1s (L2 TLB, walker, caches,
-        // branch unit, retire hooks) see the exact step() sequence.
+        Cache &l1d = tlbs_->l1d();
+        for (std::size_t d = 0; d < nd; ++d)
+            c.dhits[d] = l1d.accessKey(c.dkeys[d]) ? 1 : 0;
+
+        // L1 misses are rare, so their access infos are rebuilt from
+        // the record columns here instead of being staged per access.
+        const auto iMiss = [&](std::size_t j) -> Cycles {
+            AccessInfo info;
+            info.pc = pc[j];
+            info.vaddr = pc[j];
+            info.cls = clsAt(j);
+            info.isInstr = true;
+            return tlbs_->translateL1Miss(
+                info, activeAsid_, base_now + j,
+                static_cast<unsigned>(tlbs_->pageShiftFor(pc[j])));
+        };
+        const auto dMiss = [&](std::size_t d) -> Cycles {
+            const std::size_t j = c.drec[d];
+            AccessInfo info;
+            info.pc = pc[j];
+            info.vaddr = ea[j];
+            info.cls = clsAt(j);
+            info.isInstr = false;
+            return tlbs_->translateL1Miss(info, activeAsid_, base_now + j,
+                                          c.dshifts[d]);
+        };
+        const auto takenAt = [meta](std::size_t j) {
+            return (meta[j] & ColumnarTrace::kTakenBit) != 0;
+        };
+
+        if (!per_record) {
+            // Pass C, MPKI-only model: merge the i-miss and d-miss
+            // lanes in record order, the i-miss of a record before its
+            // d-miss as in step().  The records between two misses
+            // retire as one run before the later miss.
+            Cycles cost = m;
+            std::size_t retired = 0;
+            std::size_t i = simd::firstClearLane(c.ihits, m);
+            std::size_t d = simd::firstClearLane(c.dhits, nd);
+            while (i < m || d < nd) {
+                const std::size_t dj = d < nd ? c.drec[d] : m;
+                const std::size_t j = std::min(i, dj);
+                if (retired < j) {
+                    tlbs_->retireRun(pc, retired, j, clsAt, takenAt);
+                    retired = j;
+                }
+                if (i <= dj) {
+                    cost += iMiss(i);
+                    ++i;
+                    i += simd::firstClearLane(c.ihits + i, m - i);
+                } else {
+                    cost += dMiss(d);
+                    ++d;
+                    d += simd::firstClearLane(c.dhits + d, nd - d);
+                }
+            }
+            if (retired < m)
+                tlbs_->retireRun(pc, retired, m, clsAt, takenAt);
+            return cost;
+        }
+
+        // Pass C, full model: per-record cost assembly in original
+        // order; the shared structures below the L1s (L2 TLB, walker,
+        // caches, branch unit, retire hooks) see the exact step()
+        // sequence.
         Cycles cost = 0;
         std::size_t d = 0;
         for (std::size_t j = 0; j < m; ++j) {
-            const InstClass cls = static_cast<InstClass>(
-                meta[j] & ColumnarTrace::kClsMask);
-            const bool taken = (meta[j] & ColumnarTrace::kTakenBit) != 0;
-            const std::uint64_t now = base_now + j;
+            const InstClass cls = clsAt(j);
             cost += 1;
-            if (!c.ihits[j]) {
-                // Misses are rare (and, in run-compressed mode, only
-                // land on run starts), so the access info is rebuilt
-                // here instead of being staged per record in Pass A.
-                AccessInfo info;
-                info.pc = pc[j];
-                info.vaddr = pc[j];
-                info.cls = cls;
-                info.isInstr = true;
-                cost += tlbs_->translateL1Miss(
-                    info, activeAsid_, now,
-                    static_cast<unsigned>(tlbs_->pageShiftFor(pc[j])));
-            }
+            if (!c.ihits[j])
+                cost += iMiss(j);
             if (config_.simulateCaches)
                 cost += caches_->accessInstr(pc[j]);
             if (config_.simulateBranch && isBranch(cls)) {
@@ -806,14 +811,12 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
                 rec.effAddr = ea[j];
                 rec.target = tg[j];
                 rec.cls = cls;
-                rec.taken = taken;
+                rec.taken = takenAt(j);
                 cost += branch_->onBranch(rec);
             }
             if (isMemory(cls)) {
-                if (!c.dhits[d]) {
-                    cost += tlbs_->translateL1Miss(
-                        c.dinfos[d], activeAsid_, now, c.dshifts[d]);
-                }
+                if (!c.dhits[d])
+                    cost += dMiss(d);
                 if (config_.simulateCaches) {
                     cost += caches_->accessData(
                         ea[j], cls == InstClass::Store);
@@ -822,7 +825,7 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
             }
             tlbs_->onInstRetired(pc[j], cls);
             if (isBranch(cls))
-                tlbs_->onBranchRetired(pc[j], cls, taken);
+                tlbs_->onBranchRetired(pc[j], cls, takenAt(j));
         }
         return cost;
     };
@@ -872,9 +875,7 @@ Simulator::runImpl(const std::vector<TraceSource *> &sources,
                 // Non-ASID hardware invalidates translations on a
                 // context switch (the switch's other costs are not
                 // modeled).
-                tlbs_->l1i().flushAll(retired);
-                tlbs_->l1d().flushAll(retired);
-                tlbs_->l2().flushAll(retired);
+                tlbs_->flushAll(retired);
             }
             active = next;
             activeAsid_ = static_cast<Asid>(active + 1);

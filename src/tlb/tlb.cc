@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <type_traits>
 #include <typeinfo>
 
 #include "core/chirp.hh"
@@ -135,7 +134,6 @@ bool
 Tlb::accessCore(Policy *policy, const AccessInfo &info, Asid asid,
                 std::uint64_t now, Addr key, Acct &acct)
 {
-    constexpr bool kLru = std::is_same_v<Policy, LruPolicy>;
     const std::uint32_t set = array_.setIndex(key);
     const Addr tag = array_.tagOf(key);
     policy->onAccessBegin(info);
@@ -146,18 +144,10 @@ Tlb::accessCore(Policy *policy, const AccessInfo &info, Asid asid,
         array_.dataAt(set, way).lastHitTime = now;
         policy->onHit(set, static_cast<std::uint32_t>(way), info);
         policy->onAccessEnd(set, info);
-        if constexpr (kLru) {
-            hotKey_ = key;
-            hotSet_ = set;
-            hotWay_ = way;
-        }
         return true;
     }
 
     acct.miss();
-    // The fill below may evict any way, including the memoized one.
-    if constexpr (kLru)
-        hotWay_ = -1;
     way = array_.invalidWay(set);
     if (way < 0) {
         way = static_cast<int>(policy->selectVictim(set, info));
@@ -212,49 +202,14 @@ Tlb::accessSlow(const AccessInfo &info, Asid asid, std::uint64_t now,
     return accessSlowImpl(policy_.get(), info, asid, now, key);
 }
 
-bool
-Tlb::accessRun(const AccessInfo &info, Addr key, Asid asid,
-               std::uint64_t now, std::size_t n)
-{
-    ++accesses_;
-    bool first;
-    if (hotWay_ >= 0 && key == hotKey_) {
-        ++hits_;
-        array_.dataAt(hotSet_, hotWay_).lastHitTime = now;
-        first = true;
-    } else {
-        first = accessSlow(info, asid, now, key);
-    }
-    if (n > 1) {
-        if (hotWay_ < 0) {
-            // The first access missed (the fill clears the memo).
-            // The entry is resident now, so re-point the memo at it
-            // exactly where the next sequential access's slow-path
-            // hit would have left it.
-            const std::uint32_t set = array_.setIndex(key);
-            hotWay_ = array_.findWay(set, array_.tagOf(key));
-            hotSet_ = set;
-            hotKey_ = key;
-        }
-        // Repeats 2..n: each is ++accesses_/++hits_ plus a
-        // lastHitTime store the next one overwrites, so only the
-        // final timestamp needs writing.
-        accesses_ += n - 1;
-        hits_ += n - 1;
-        array_.dataAt(hotSet_, hotWay_).lastHitTime = now + (n - 1);
-    }
-    return first;
-}
-
 /**
- * Sequential-equivalent batch: same per-access sequence as the inline
- * access() (memo check first, then the full slow path), so counters
- * and policy state land exactly where n individual calls would leave
- * them.  The wins are batch-level: one policy dispatch per chunk
- * instead of per access, each access's set metadata (and the policy's
- * SoA rows) prefetched a few slots ahead so the random-indexed loads
- * overlap the in-flight accesses, the policy's signature/table-index
- * streams precomputed for the whole chunk in beginAccessBatch(), and
+ * Sequential-equivalent batch: same per-access sequence as access(),
+ * so counters and policy state land exactly where n individual calls
+ * would leave them.  The wins are batch-level: one policy dispatch per
+ * chunk instead of per access, each access's set metadata (and the
+ * policy's SoA rows) prefetched a few slots ahead so the random-indexed
+ * loads overlap the in-flight accesses, the policy's signature/table-
+ * index streams precomputed for the whole chunk in beginAccessBatch(), and
  * hit/miss/eviction/efficiency accounting deferred into chunk-local
  * sums flushed once at the boundary.
  *
@@ -283,15 +238,8 @@ Tlb::accessBatchImpl(Policy *policy, const AccessInfo *infos,
                 array_.prefetchSet(
                     array_.setIndex(keys[i + kPrefetchAhead]));
             ++accesses_;
-            const Addr key = keys[i];
-            if (hotWay_ >= 0 && key == hotKey_) {
-                ++hits_;
-                array_.dataAt(hotSet_, hotWay_).lastHitTime = nows[i];
-                hits[i] = 1;
-                continue;
-            }
             hits[i] =
-                accessSlowImpl(policy, infos[i], asid, nows[i], key)
+                accessSlowImpl(policy, infos[i], asid, nows[i], keys[i])
                     ? 1
                     : 0;
         }
@@ -310,17 +258,10 @@ Tlb::accessBatchImpl(Policy *policy, const AccessInfo *infos,
             if (i + kPrefetchAhead < n)
                 array_.prefetchSet(
                     array_.setIndex(keys[i + kPrefetchAhead]));
-            const Addr key = keys[i];
-            if (hotWay_ >= 0 && key == hotKey_) {
-                acct.hit();
-                array_.dataAt(hotSet_, hotWay_).lastHitTime = nows[i];
-                hits[i] = 1;
-                continue;
-            }
-            hits[i] =
-                accessCore(policy, infos[i], asid, nows[i], key, acct)
-                    ? 1
-                    : 0;
+            hits[i] = accessCore(policy, infos[i], asid, nows[i],
+                                 keys[i], acct)
+                          ? 1
+                          : 0;
         }
         accesses_ += n;
         hits_ += acct.hits;
@@ -344,17 +285,10 @@ Tlb::accessBatchImpl(Policy *policy, const AccessInfo *infos,
                     array_.setIndex(keys[i + kPrefetchAhead]));
             if (i == fault_at)
                 FaultInjector::instance().onBatchChunk();
-            const Addr key = keys[i];
-            if (hotWay_ >= 0 && key == hotKey_) {
-                acct.hit();
-                array_.dataAt(hotSet_, hotWay_).lastHitTime = nows[i];
-                hits[i] = 1;
-                continue;
-            }
-            hits[i] =
-                accessCore(policy, infos[i], asid, nows[i], key, acct)
-                    ? 1
-                    : 0;
+            hits[i] = accessCore(policy, infos[i], asid, nows[i],
+                                 keys[i], acct)
+                          ? 1
+                          : 0;
         }
     } catch (...) {
         // i full accesses completed; flush exactly their counts so
@@ -425,7 +359,6 @@ Tlb::probe(Addr vaddr, Asid asid, unsigned page_shift) const
 void
 Tlb::flushAll(std::uint64_t now)
 {
-    hotWay_ = -1;
     for (std::uint32_t set = 0; set < array_.numSets(); ++set) {
         for (std::uint32_t way = 0; way < array_.assoc(); ++way) {
             if (!array_.valid(set, way))
@@ -442,7 +375,6 @@ Tlb::flushAll(std::uint64_t now)
 void
 Tlb::flushAsid(Asid asid, std::uint64_t now)
 {
-    hotWay_ = -1;
     for (std::uint32_t set = 0; set < array_.numSets(); ++set) {
         for (std::uint32_t way = 0; way < array_.assoc(); ++way) {
             if (!array_.valid(set, way) ||
@@ -474,7 +406,6 @@ Tlb::finalizeEfficiency(std::uint64_t now)
 void
 Tlb::reset()
 {
-    hotWay_ = -1;
     array_.invalidateAll();
     policy_->reset();
     efficiency_.reset();

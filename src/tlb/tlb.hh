@@ -4,7 +4,9 @@
  *
  * The TLB is the structure under study: every policy event hook is
  * driven from here, and the per-entry efficiency accounting of Fig 1
- * hangs off the fill/hit/evict events.
+ * hangs off the fill/hit/evict events.  TlbHierarchy uses it for the
+ * unified L2 TLB; its fixed-LRU L1 TLBs are plain Cache instances
+ * keyed by keyOf().
  */
 
 #ifndef CHIRP_TLB_TLB_HH
@@ -65,27 +67,14 @@ class Tlb
      * @param page_shift log2 page size backing the address: one
      *        entry covers the whole 4KB or 2MB page
      * @return true on hit.
-     *
-     * The memo check lives inline so the dominant repeat-hit case
-     * (sequential fetches within one page) resolves without leaving
-     * the caller's loop; everything else goes out of line.
      */
     bool
     access(const AccessInfo &info, Asid asid, std::uint64_t now,
            unsigned page_shift = kPageShift)
     {
         ++accesses_;
-        const Addr key = keyOf(info.vaddr, asid, page_shift);
-        if (hotWay_ >= 0 && key == hotKey_) {
-            // Repeat hit on the previous entry: counters and
-            // timestamps advance exactly as in the general path; the
-            // policy calls are no-ops by construction (see the memo
-            // comment below).
-            ++hits_;
-            array_.dataAt(hotSet_, hotWay_).lastHitTime = now;
-            return true;
-        }
-        return accessSlow(info, asid, now, key);
+        return accessSlow(info, asid, now,
+                          keyOf(info.vaddr, asid, page_shift));
     }
 
     /**
@@ -100,30 +89,6 @@ class Tlb
     void accessBatch(const AccessInfo *infos, const Addr *keys,
                      const std::uint64_t *nows, std::size_t n,
                      Asid asid, std::uint8_t *hits);
-
-    /**
-     * Perform @p n consecutive accesses to the same page — @p key
-     * precomputed, times now, now+1, ..., now+n-1 — with exactly the
-     * state evolution and counters of n sequential access() calls.
-     * Only valid when hasLruMemo() is true (devirtualized plain-LRU
-     * dispatch): there every post-first access is a provable repeat
-     * hit whose policy calls are no-ops (see the memo comment below),
-     * so the n-1 repeats collapse to bulk counter and timestamp
-     * updates.
-     * @return the first access's hit result.
-     */
-    bool accessRun(const AccessInfo &info, Addr key, Asid asid,
-                   std::uint64_t now, std::size_t n);
-
-    /**
-     * Does this TLB run the devirtualized plain-LRU dispatch (the
-     * only kind whose repeat hits are provable policy no-ops)?
-     * Callers gate accessRun() and same-page run compression on this;
-     * CHIRP_FORCE_VIRTUAL turns it off, which keeps the forced-
-     * virtual reference path exercising the uncompressed loop the
-     * equality tests compare against.
-     */
-    bool hasLruMemo() const { return kind_ == PolicyKind::Lru; }
 
     /**
      * Does accessBatch() run the batched miss path (policy chunk
@@ -212,7 +177,7 @@ class Tlb
         Srrip,
     };
 
-    /** General hit/miss handling once the memo fast path declined. */
+    /** Hit/miss handling of one access, dispatched on kind_. */
     bool accessSlow(const AccessInfo &info, Asid asid,
                     std::uint64_t now, Addr key);
 
@@ -261,17 +226,6 @@ class Tlb
     PolicyKind kind_ = PolicyKind::Generic;
     // Batched miss path enabled (CHIRP_BATCH_MISS, construction-time).
     bool batchMiss_ = true;
-    // Last-hit memo (LRU only): a repeat hit on the immediately-
-    // preceding entry is a provable no-op for plain LRU (the way is
-    // already MRU, so touch() does nothing and onAccessEnd is the
-    // empty default), letting the hot sequential case skip the set
-    // scan and all policy calls.  The memo holds the full key, so
-    // ASID and page-size mismatches fall through.  Any miss, flush
-    // or reset clears it, and only the Lru dispatch kind ever sets
-    // it.
-    int hotWay_ = -1; //!< <0 = no memo
-    std::uint32_t hotSet_ = 0;
-    Addr hotKey_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -2,25 +2,36 @@
 
 #include <typeinfo>
 
-#include "core/lru.hh"
 #include "util/logging.hh"
 
 namespace chirp
 {
 
-std::unique_ptr<ReplacementPolicy>
-TlbHierarchy::makeL1Policy(const TlbConfig &config)
+namespace
 {
-    return std::make_unique<LruPolicy>(config.entries / config.assoc,
-                                       config.assoc);
+
+/**
+ * An L1 TLB as a cache of page-sized lines.  Lookups go through
+ * Cache::accessKey with Tlb::keyOf keys, so the line size only fixes
+ * the entry count; the set count (entries / assoc) must be a power of
+ * two, as for every Cache.
+ */
+CacheConfig
+l1CacheConfig(const TlbConfig &config)
+{
+    return {config.name, std::uint64_t{config.entries} * kPageSize,
+            config.assoc, static_cast<std::uint32_t>(kPageSize),
+            config.hitLatency};
 }
+
+} // namespace
 
 TlbHierarchy::TlbHierarchy(const TlbHierarchyConfig &config,
                            std::unique_ptr<ReplacementPolicy> l2_policy,
                            std::unique_ptr<PageWalker> walker)
-    : config_(config), l1i_(config.l1i, makeL1Policy(config.l1i)),
-      l1d_(config.l1d, makeL1Policy(config.l1d)),
-      l2_(config.l2, std::move(l2_policy)), walker_(std::move(walker))
+    : config_(config), l1i_(l1CacheConfig(config.l1i)),
+      l1d_(l1CacheConfig(config.l1d)), l2_(config.l2, std::move(l2_policy)),
+      walker_(std::move(walker))
 {
     if (!walker_)
         chirp_fatal("TLB hierarchy needs a page walker");
@@ -46,6 +57,14 @@ void
 TlbHierarchy::finalizeEfficiency(std::uint64_t now)
 {
     l2_.finalizeEfficiency(now);
+}
+
+void
+TlbHierarchy::flushAll(std::uint64_t now)
+{
+    l1i_.invalidateAll();
+    l1d_.invalidateAll();
+    l2_.flushAll(now);
 }
 
 void

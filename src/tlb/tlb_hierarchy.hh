@@ -4,6 +4,11 @@
  * d-TLB (LRU, 1-cycle) backed by a unified 1024-entry 8-way L2 TLB
  * (8-cycle hit) whose replacement policy is the object of study,
  * backed by a page walker.
+ *
+ * The L1 TLBs are fixed LRU filters whose hit/miss sequence and
+ * access/miss counts are all that is ever observed, so they are
+ * plain Cache instances keyed by Tlb::keyOf.  Only the L2 is a Tlb
+ * with a pluggable policy and efficiency accounting.
  */
 
 #ifndef CHIRP_TLB_TLB_HIERARCHY_HH
@@ -15,6 +20,7 @@
 
 #include "core/chirp.hh"
 #include "core/ghrp.hh"
+#include "mem/cache.hh"
 #include "tlb/page_walker.hh"
 #include "tlb/tlb.hh"
 
@@ -86,10 +92,10 @@ class TlbHierarchy
     translate(const AccessInfo &info, Asid asid, std::uint64_t now)
     {
         TranslateResult result;
-        Tlb &l1 = info.isInstr ? l1i_ : l1d_;
+        Cache &l1 = info.isInstr ? l1i_ : l1d_;
         const unsigned page_shift = pageShiftFor(info.vaddr);
 
-        if (l1.access(info, asid, now, page_shift)) {
+        if (l1.accessKey(Tlb::keyOf(info.vaddr, asid, page_shift))) {
             result.l1Hit = true;
             return result; // 1-cycle L1 hit is hidden by the pipeline
         }
@@ -199,24 +205,53 @@ class TlbHierarchy
             l2_.policy().onInstRetired(pc, cls);
     }
 
+    /**
+     * onInstRetired() and onBranchRetired() for instructions @p lo ..
+     * @p hi - 1 of a record chunk, in order: PCs @p pcs, classes
+     * @p cls_at(j), branch outcomes @p taken_at(j).  A CHiRP policy
+     * advances its histories in one run; a retire-blind one skips the
+     * run.
+     */
+    template <typename ClsAt, typename TakenAt>
+    void
+    retireRun(const Addr *pcs, std::size_t lo, std::size_t hi,
+              ClsAt cls_at, TakenAt taken_at)
+    {
+        if (l2Chirp_) {
+            l2Chirp_->retireRun(pcs, lo, hi, cls_at);
+            return;
+        }
+        if (!l2Ghrp_ && !l2WantsRetire_)
+            return;
+        for (std::size_t j = lo; j < hi; ++j) {
+            const InstClass cls = cls_at(j);
+            onInstRetired(pcs[j], cls);
+            if (isBranch(cls))
+                onBranchRetired(pcs[j], cls, taken_at(j));
+        }
+    }
+
     /** Close out L2 efficiency accounting at observation end. */
     void finalizeEfficiency(std::uint64_t now);
+
+    /**
+     * Invalidate every translation in all three TLBs (a context
+     * switch on hardware without ASID tags).  Counters survive.
+     */
+    void flushAll(std::uint64_t now);
 
     /** Reset all levels and the walker. */
     void reset();
 
-    Tlb &l1i() { return l1i_; }
-    Tlb &l1d() { return l1d_; }
+    Cache &l1i() { return l1i_; }
+    Cache &l1d() { return l1d_; }
     Tlb &l2() { return l2_; }
-    const Tlb &l1i() const { return l1i_; }
-    const Tlb &l1d() const { return l1d_; }
+    const Cache &l1i() const { return l1i_; }
+    const Cache &l1d() const { return l1d_; }
     const Tlb &l2() const { return l2_; }
     PageWalker &walker() { return *walker_; }
 
   private:
-    static std::unique_ptr<ReplacementPolicy>
-    makeL1Policy(const TlbConfig &config);
-
     TlbHierarchyConfig config_;
     const PageMap *pageMap_ = nullptr;
     std::vector<L2Event> *l2Sink_ = nullptr;
@@ -228,8 +263,8 @@ class TlbHierarchy
     //! policy is any other type or CHIRP_FORCE_VIRTUAL is set.
     ChirpPolicy *l2Chirp_ = nullptr;
     GhrpPolicy *l2Ghrp_ = nullptr;
-    Tlb l1i_;
-    Tlb l1d_;
+    Cache l1i_;
+    Cache l1d_;
     Tlb l2_;
     std::unique_ptr<PageWalker> walker_;
 };

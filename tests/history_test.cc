@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -155,6 +156,70 @@ TEST(ControlFlowHistorySignature, MatchesRegisterFolds)
                                        history.cond().folded() ^
                                        history.uncond().folded();
         ASSERT_EQ(history.signature(pc), expected);
+    }
+}
+
+TEST(ControlFlowHistoryRetireRun, MatchesPerRecordHooks)
+{
+    // retireRun over runs of random length must leave every register
+    // where the per-record hooks (path filter, then the branch split)
+    // leave it: one-word registers (the local fast path) and wider
+    // ones, every path filter, branch histories on and off.
+    std::vector<HistoryConfig> configs;
+    for (const PathFilter filter :
+         {PathFilter::All, PathFilter::Memory, PathFilter::Branch}) {
+        for (const unsigned events : {16u, 40u}) {
+            HistoryConfig config;
+            config.pathFilter = filter;
+            config.pathEvents = events;
+            configs.push_back(config);
+        }
+    }
+    configs.push_back(configs.front());
+    configs.back().useCondHist = false;
+    configs.back().useUncondHist = false;
+    configs.push_back(configs.front());
+    configs.back().branchEvents = 12; // 96-bit branch registers
+
+    Rng rng(0x7E71);
+    std::vector<Addr> pcs(4000);
+    std::vector<InstClass> classes(pcs.size());
+    for (std::size_t i = 0; i < pcs.size(); ++i) {
+        pcs[i] = rng.next() & 0x7FFFFFFFFFFFull;
+        classes[i] = static_cast<InstClass>(
+            rng.below(static_cast<std::uint64_t>(InstClass::NumClasses)));
+    }
+    const auto cls_at = [&](std::size_t j) { return classes[j]; };
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        SCOPED_TRACE("config " + std::to_string(c));
+        const HistoryConfig &config = configs[c];
+        ControlFlowHistory run(config);
+        ControlFlowHistory hooks(config);
+        for (std::size_t lo = 0; lo < pcs.size();) {
+            const std::size_t hi =
+                std::min(pcs.size(), lo + rng.below(40));
+            run.retireRun(pcs.data(), lo, hi, cls_at);
+            for (std::size_t j = lo; j < hi; ++j) {
+                const InstClass cls = classes[j];
+                const bool on_path =
+                    config.pathFilter == PathFilter::All ||
+                    (config.pathFilter == PathFilter::Memory &&
+                     isMemory(cls)) ||
+                    (config.pathFilter == PathFilter::Branch &&
+                     isBranch(cls));
+                if (on_path)
+                    hooks.onAccess(pcs[j]);
+                if (cls == InstClass::CondBranch)
+                    hooks.onCondBranch(pcs[j]);
+                else if (cls == InstClass::UncondIndirect)
+                    hooks.onUncondIndirectBranch(pcs[j]);
+            }
+            ASSERT_EQ(run.path().folded(), hooks.path().folded());
+            ASSERT_EQ(run.cond().folded(), hooks.cond().folded());
+            ASSERT_EQ(run.uncond().folded(), hooks.uncond().folded());
+            ASSERT_EQ(run.signature(pcs[lo]), hooks.signature(pcs[lo]));
+            lo = hi;
+        }
     }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/lru.hh"
 #include "core/policy_factory.hh"
 #include "tlb/tlb_hierarchy.hh"
@@ -191,6 +193,66 @@ TEST(TlbHierarchy, L2HitAfterL1Eviction)
     EXPECT_FALSE(result.l1Hit);
     EXPECT_TRUE(result.l2Hit);
     EXPECT_EQ(result.stall, 8u);
+}
+
+/**
+ * The L1 TLBs are Cache instances keyed by Tlb::keyOf.  Differential
+ * check against a Tlb with an LruPolicy of the same geometry, which
+ * stays in the tree as the L2 and so is an independent LRU: random
+ * keys over several ASIDs and both page sizes, with same-key runs,
+ * full flushes mid-stream and a reset.  Every hit result and the
+ * access/miss counts must agree.
+ */
+TEST(TlbHierarchy, L1TlbMatchesLruTlb)
+{
+    const TlbHierarchyConfig geometry;
+    auto hierarchy = TlbHierarchy::makeDefault(
+        makePolicy(PolicyKind::Lru, 128, 8),
+        std::make_unique<FixedLatencyWalker>(150));
+    Cache &l1 = hierarchy->l1d();
+    Tlb ref(geometry.l1d,
+            std::make_unique<LruPolicy>(
+                geometry.l1d.entries / geometry.l1d.assoc,
+                geometry.l1d.assoc));
+
+    std::mt19937_64 rng(5);
+    std::uint64_t now = 0;
+    for (int step = 0; step < 60000; ++step) {
+        const auto asid = static_cast<Asid>(1 + rng() % 4);
+        const unsigned shift = rng() % 4 == 0 ? kHugePageShift : kPageShift;
+        // 384 distinct keys against 64 entries, so hits, misses and
+        // evictions all occur.
+        const Addr vaddr = ((rng() % 48) << shift) | (rng() & 0xfff);
+        const Addr key = Tlb::keyOf(vaddr, asid, shift);
+        AccessInfo info = load(vaddr);
+        if (rng() % 5 == 0) {
+            const std::uint64_t n = 1 + rng() % 6;
+            const bool hit = l1.accessKeyRun(key, n);
+            ASSERT_EQ(hit, ref.access(info, asid, now++, shift))
+                << "run start, step " << step;
+            for (std::uint64_t k = 1; k < n; ++k)
+                ASSERT_TRUE(ref.access(info, asid, now++, shift))
+                    << "run repeat, step " << step;
+        } else {
+            ASSERT_EQ(l1.accessKey(key), ref.access(info, asid, now++, shift))
+                << "step " << step;
+        }
+        if (step % 7919 == 7918) {
+            l1.invalidateAll();
+            ref.flushAll(now);
+        }
+        if (step == 40000) {
+            ASSERT_EQ(l1.accesses(), ref.accesses());
+            ASSERT_EQ(l1.misses(), ref.misses());
+            l1.reset();
+            ref.reset();
+        }
+    }
+    EXPECT_EQ(l1.accesses(), ref.accesses());
+    EXPECT_EQ(l1.hits(), ref.hits());
+    EXPECT_EQ(l1.misses(), ref.misses());
+    EXPECT_GT(l1.misses(), 1000u);
+    EXPECT_GT(l1.hits(), 1000u);
 }
 
 TEST(TlbHierarchy, InstructionAndDataSidesAreSeparateL1s)
