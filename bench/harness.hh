@@ -5,15 +5,14 @@
  * Every bench binary prints a paper-vs-measured table on stdout and
  * writes a CSV into the working directory.  Fidelity scales through
  * the CHIRP_SUITE_SIZE / CHIRP_TRACE_LEN / CHIRP_SEED environment
- * variables (see workload_suite.hh).  Suite runs shard across worker
- * threads: `--jobs N` (or the CHIRP_JOBS environment variable) picks
- * the worker count, defaulting to hardware concurrency; `--jobs 1`
- * restores the legacy serial path.  Multi-policy sweeps materialize
- * each workload's trace once in the runner's TraceStore and replay
- * it for every policy; `--trace-cache DIR` (or CHIRP_TRACE_CACHE)
- * persists those traces on disk across runs, and `--no-trace-store`
- * restores the legacy regenerate-per-policy path.  CSVs are
- * bit-identical across all of those modes at any job count.
+ * variables (see workload_suite.hh).  Suite runs shard across a
+ * thread pool: `--jobs N` (or the CHIRP_JOBS environment variable)
+ * picks the thread count, defaulting to hardware concurrency;
+ * `--jobs 1` runs serially.  Multi-policy sweeps materialize each
+ * workload's trace once in the runner's TraceStore and replay it for
+ * every policy; `--trace-cache DIR` (or CHIRP_TRACE_CACHE) persists
+ * those traces on disk across runs.  CSVs are bit-identical at any
+ * job count, with or without the disk tier.
  *
  * Resilience: a failing job no longer aborts a bench.  Failures are
  * isolated per job, retried when transient (`--retries N`), cancelled
@@ -24,16 +23,6 @@
  * job, reproducing the CSVs byte-identically.  CHIRP_FAULT injects
  * deterministic faults (see util/fault_injection.hh).
  *
- * Distributed sweeps: `--workers N` forks N worker processes
- * (re-executions of the same binary) and shards multi-policy suite
- * runs across them through the crash-tolerant sweep fabric (see
- * dist/fabric.hh); `--coordinator PATH` additionally accepts external
- * workers over an AF_UNIX socket, and `--worker PATH` turns this
- * process into such a worker.  The merged CSVs are byte-identical to
- * a single-process run, even when workers are killed mid-shard.
- * `--worker-fd FD --worker-id N` are the internal flags a spawned
- * worker is launched with.
- *
  * External traces: `--trace-in PATH` (repeatable, or CHIRP_TRACE_IN
  * with comma-separated paths) replaces the synthetic suite with one
  * workload per ChampSim/CVP trace file, ingested through the hardened
@@ -42,7 +31,7 @@
  * decode failures tolerated per file.  A malformed file fails only
  * its own jobs (through SuiteHealth); the suite, the CSVs and the
  * exit-code contract are otherwise unchanged, and ingested suites
- * stay byte-identical across --jobs and --workers.
+ * stay byte-identical across --jobs.
  */
 
 #ifndef CHIRP_BENCH_HARNESS_HH
@@ -53,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/fabric.hh"
 #include "sim/run_journal.hh"
 #include "sim/runner.hh"
 #include "util/csv.hh"
@@ -68,12 +56,10 @@ struct BenchContext
     SuiteOptions options;
     std::vector<WorkloadConfig> suite;
     SimConfig config;
-    /** Suite-runner worker threads (0 = hardware concurrency). */
+    /** Suite-runner threads (0 = hardware concurrency). */
     unsigned jobs = 0;
     /** Disk tier for materialized traces ("" = memory only). */
     std::string traceCacheDir;
-    /** Share one materialization across policies (runSuiteMulti). */
-    bool shareTraces = true;
     /** Retry/watchdog knobs forwarded to every Runner. */
     ResilienceOptions resilience;
     /** Sidecar journal of completed jobs ("" disables journaling). */
@@ -82,8 +68,6 @@ struct BenchContext
     bool resume = false;
     /** Bench binary basename, naming the journal's identity. */
     std::string benchName = "bench";
-    /** Sweep-fabric end (coordinator or worker); null = in-process. */
-    std::shared_ptr<dist::SweepFabric> fabric;
     /** Job-outcome ledger shared by every Runner of this bench. */
     std::shared_ptr<SuiteHealth> health =
         std::make_shared<SuiteHealth>();
@@ -97,9 +81,6 @@ struct BenchContext
      * report name the diverging field.
      */
     JournalIdentity identity() const;
-
-    /** Combined hash of identity(); stamps the shard ledger too. */
-    std::uint64_t fingerprint() const;
 
     Runner
     runner() const
@@ -116,8 +97,6 @@ struct BenchContext
             }
             runner.setJournal(journal);
         }
-        if (fabric)
-            runner.setFabric(fabric);
         return runner;
     }
 };
@@ -132,36 +111,28 @@ BenchContext makeContext(std::size_t default_suite_size, bool mpki_only);
 
 /**
  * As above, but also parses the bench command line: `--jobs N` (or
- * `-j N`, `--jobs=N`) selects the suite-runner worker count,
+ * `-j N`, `--jobs=N`) selects the suite-runner thread count,
  * `--trace-cache DIR` enables the on-disk trace tier,
- * `--no-trace-store` regenerates traces per policy (legacy path),
  * `--retries N` / `--job-timeout MS` tune failure handling,
  * `--resume` continues an interrupted run from its journal,
  * `--journal PATH` / `--no-journal` override the default
- * "<binary>.csv.journal" sidecar, `--workers N` /
- * `--coordinator PATH` / `--worker PATH` engage the distributed
- * sweep fabric (see the file comment), `--trace-in PATH` /
+ * "<binary>.csv.journal" sidecar, `--trace-in PATH` /
  * `--trace-in-format F` / `--ingest-bad-budget N` switch the suite to
  * external trace files (see the file comment), and `--help` prints
- * usage.
- * Unknown arguments are fatal.  Worker mode relocates the process
- * into a "chirp-workers/w<id>/" scratch directory and disables its
- * journal: only the coordinator's CSVs are real.
+ * usage.  Unknown arguments and malformed numbers are fatal.
  */
 BenchContext makeContext(int argc, char **argv,
                          std::size_t default_suite_size, bool mpki_only);
 
 /**
  * Standard bench epilogue: report resumed/retried/hung/timed-out job
- * counts when any, summarize the sweep fabric's orchestration (lost
- * workers, requeued shards) on a coordinator, and return the bench's
- * exit code — 1 when any job failed (results incomplete), else 0.
- * Call as `return finish(ctx);`.
+ * counts when any, and return the bench's exit code — 1 when any job
+ * failed (results incomplete), else 0.  Call as `return finish(ctx);`.
  */
 int finish(const BenchContext &ctx);
 
 /**
- * Worker count from CHIRP_JOBS, defaulting to hardware concurrency
+ * Thread count from CHIRP_JOBS, defaulting to hardware concurrency
  * when unset.
  */
 unsigned jobsFromEnv();
@@ -173,7 +144,7 @@ void printBanner(const std::string &title, const BenchContext &ctx);
  * Run every paper policy over the suite, returning results keyed by
  * policy (LRU is always included and is the baseline).  Each
  * workload's trace is materialized once and replayed for all
- * policies unless ctx.shareTraces is off.
+ * policies.
  */
 std::map<PolicyKind, std::vector<WorkloadResult>>
 runAllPolicies(const BenchContext &ctx);

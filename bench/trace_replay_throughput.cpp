@@ -19,12 +19,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "sim/simulator.hh"
 #include "trace/trace_store.hh"
 #include "util/atomic_file.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/table.hh"
 
 using namespace chirp;
@@ -59,12 +61,13 @@ consume(const TraceRecord &rec, std::uint64_t sink)
 }
 
 std::uint64_t
-parseCount(const char *text)
+parseCount(const char *text,
+           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || value == 0)
-        chirp_fatal("expected a positive integer, got '", text, "'");
+    std::uint64_t value = 0;
+    if (!parseUnsigned(text, max, value) || value == 0)
+        chirp_fatal("expected an integer from 1 to ", max, ", got '",
+                    text, "'");
     return value;
 }
 
@@ -86,7 +89,8 @@ main(int argc, char **argv)
         if (arg == "--records") {
             records = parseCount(value());
         } else if (arg == "--reps") {
-            reps = static_cast<unsigned>(parseCount(value()));
+            reps = static_cast<unsigned>(
+                parseCount(value(), std::numeric_limits<unsigned>::max()));
         } else if (arg == "--out") {
             out = value();
         } else if (arg == "--help" || arg == "-h") {

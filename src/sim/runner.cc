@@ -10,12 +10,11 @@
 
 #include "core/chirp.hh"
 #include "core/ghrp.hh"
-#include "dist/fabric.hh"
 #include "sim/run_journal.hh"
 #include "sim/simulator.hh"
 #include "trace/ingest/ingest.hh"
+#include "util/bitfield.hh"
 #include "util/fault_injection.hh"
-#include "util/hashing.hh"
 #include "util/logging.hh"
 #include "util/progress.hh"
 #include "util/stats.hh"
@@ -133,24 +132,6 @@ computeReplayStreams(std::vector<SigGroup> &groups,
 }
 
 /**
- * Fingerprint one suite call for the distributed fabric's announce
- * handshake: coordinator and workers rebuild the same world from the
- * same binary and arguments, and this hash (call number, workload
- * set, policy count) is how a diverged worker gets caught before its
- * results can poison a byte-identical merge.
- */
-std::uint64_t
-suiteCallFingerprint(std::uint64_t seq,
-                     const std::vector<WorkloadConfig> &suite,
-                     std::size_t policies)
-{
-    std::uint64_t fp = hashCombine(mix64(seq), policies);
-    for (const WorkloadConfig &workload : suite)
-        fp = hashCombine(fp, RunJournal::jobKey(0, workload, 0));
-    return fp;
-}
-
-/**
  * Is the policy-parallel batch replay enabled?  On by default; set
  * CHIRP_POLICY_PARALLEL=0 to force the legacy one-replay-per-policy
  * walk (the CI equality leg diffs the two).  Read per suite call so
@@ -170,9 +151,8 @@ policyParallelReplay()
  * flagged, warned about once, and has its cancel token raised — the
  * simulator polls the token at its cancellation points and aborts the
  * attempt with JobCancelled, which the guard records as timed-out
- * (never retried; under the distributed fabric the job's shard is
- * requeued instead).  Inert (no thread, no locking) when the timeout
- * is 0.
+ * (never retried).  Inert (no thread, no locking) when the timeout is
+ * 0.
  */
 class Watchdog
 {
@@ -558,32 +538,10 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
     // skip simulation entirely, so observer-derived data (diagnostic
     // counters read off the live policy) would silently go missing.
     RunJournal *journal = observer ? nullptr : journal_.get();
-    dist::SweepFabric *fabric = fabric_.get();
-    if (fabric && fabric->isWorker())
-        journal = nullptr; // worker scratch runs are never resumed
-    // The suite sequence number keys the journal and names this call
-    // on the wire.  It must advance identically across serial runs,
-    // coordinators, and workers, so every suite call bumps exactly
-    // one counter: the fabric's when one is attached, the shared
-    // journal's otherwise (even for observer calls that bypass the
-    // journal, so the numbering cannot depend on the mode).
-    std::uint64_t seq = 0;
-    if (fabric)
-        seq = fabric->nextSuiteSeq();
-    else if (journal_)
-        seq = journal_->nextSuiteSeq();
-
-    const bool distributable = !observer && !forceVirtualDispatch();
-    if (fabric && fabric->isWorker() && !distributable) {
-        // Only the coordinator's CSVs are real; workers answer
-        // non-distributable calls with zero-shaped results.
-        for (std::size_t p = 0; p < factories.size(); ++p)
-            for (std::size_t w = 0; w < suite.size(); ++w)
-                results[p][w].workload = suite[w];
-        return results;
-    }
-    if (fabric && fabric->isCoordinator() && !distributable)
-        fabric->skipSuite(seq);
+    // The suite sequence number keys the journal.  Every suite call
+    // bumps it, observer calls that bypass the journal included, so
+    // the numbering cannot depend on which calls carry an observer.
+    const std::uint64_t seq = journal_ ? journal_->nextSuiteSeq() : 0;
 
     RunLedger ledger(label.empty() ? "policies" : label, health_,
                      journal != nullptr);
@@ -592,14 +550,8 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
     auto tag_of = [&](std::size_t p) {
         return p < tags.size() ? tags[p] : "p" + std::to_string(p);
     };
-    // On a participating worker this streams every guarded outcome
-    // (stats or error text) back to the coordinator; empty otherwise.
-    std::function<void(std::size_t, std::size_t, const GuardOutcome &)>
-        remote_report;
     auto add_outcome = [&](std::size_t w, std::size_t p,
                            const GuardOutcome &out) {
-        if (remote_report)
-            remote_report(w, p, out);
         JobResult job;
         job.workload = suite[w].name;
         job.policy = tag_of(p);
@@ -718,12 +670,8 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
     // through Simulator::replayL2, which reconstructs bit-identical
     // full-run statistics from the recorder's baseline.
     //
-    // The resume scan runs up front (not per-workload) so the set of
-    // pending workloads is known before execution starts: that set is
-    // what a coordinator shards across fabric workers, with remote
-    // deliveries marked in the same done/missing arrays journal hits
-    // are.  Plain byte flags, not vector<bool>: columns of `done` are
-    // touched from different pool workers.
+    // The resume scan runs up front (not per-workload), so only
+    // workloads with a pending policy reach the pool.
     std::vector<std::vector<char>> done(
         factories.size(), std::vector<char>(suite.size(), 0));
     std::vector<std::size_t> missing(suite.size(), factories.size());
@@ -745,9 +693,6 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
             pending.push_back(w);
 
     auto run_workload = [&](std::size_t w) {
-        if (missing[w] == 0)
-            return; // fully resumed or remotely delivered
-
         SharedTrace trace;
         std::vector<L2Event> events;
         SimStats base;
@@ -910,100 +855,22 @@ Runner::runSuiteMulti(const std::vector<WorkloadConfig> &suite,
         store.drop(suite[w]);
     };
 
-    if (fabric && fabric->isWorker()) {
-        // Worker end: announce this suite call, then execute granted
-        // shards through the very same run_workload the coordinator
-        // would have used, streaming each guarded outcome back.
-        const std::uint64_t fp =
-            suiteCallFingerprint(seq, suite, factories.size());
-        if (fabric->announceSuite(seq, suite.size(), factories.size(),
-                                  fp) ==
-            dist::SweepFabric::SuiteRole::Skip)
-            return results; // zero-shaped; coordinator kept it local
-        remote_report = [&](std::size_t w, std::size_t p,
-                            const GuardOutcome &out) {
-            dist::RemoteOutcome remote;
-            remote.ok = out.ok;
-            remote.timedOut = out.timedOut;
-            remote.hung = out.hung;
-            remote.attempts = out.attempts;
-            remote.wallNs = out.wallNs;
-            remote.payload = out.ok
-                                 ? encodeSimStats(results[p][w].stats)
-                                 : out.error;
-            fabric->reportJob(seq, w, p, remote);
-        };
-        fabric->workerRunSuite(
-            seq, [&](std::size_t w) { run_workload(w); });
-        ledger.summarize();
-        return results;
-    }
-
-    // Coordinator end: shard the pending workloads across attached
-    // workers; whatever the fabric cannot place (no workers, crashed
-    // shards past their attempt budget) comes back for the ordinary
-    // in-process path below.  Remote results land through `deliver`
-    // on the fabric's service thread while this thread is parked
-    // inside coordinateSuite — same slots, journal, ledger, and
-    // progress ticks as local execution, so the merged CSV is
-    // byte-identical to a serial run by construction.
-    std::vector<std::size_t> work = pending;
-    if (fabric && fabric->isCoordinator() && distributable) {
-        const std::uint64_t fp =
-            suiteCallFingerprint(seq, suite, factories.size());
-        auto deliver = [&](std::size_t w, std::size_t p,
-                           const dist::RemoteOutcome &remote) {
-            if (done[p][w]) {
-                // A partially-resumed workload re-runs wholesale on
-                // the worker; drop the slots the journal already
-                // settled (the fabric can't know about those).
-                return;
-            }
-            GuardOutcome out;
-            out.ok = remote.ok;
-            out.timedOut = remote.timedOut;
-            out.hung = remote.hung;
-            out.attempts = remote.attempts;
-            out.wallNs = remote.wallNs;
-            if (remote.ok) {
-                if (decodeSimStats(remote.payload,
-                                   results[p][w].stats)) {
-                    if (journal)
-                        journal->record(
-                            RunJournal::jobKey(seq, suite[w], p),
-                            results[p][w].stats);
-                } else {
-                    out.ok = false;
-                    out.error = "remote stats failed to decode";
-                }
-            } else {
-                out.error = remote.payload;
-            }
-            done[p][w] = 1;
-            --missing[w];
-            add_outcome(w, p, out);
-        };
-        work = fabric->coordinateSuite(seq, suite.size(),
-                                       factories.size(), fp, pending,
-                                       deliver);
-    }
-
-    if (jobs <= 1 || work.size() <= 1) {
-        for (std::size_t w : work)
+    if (jobs <= 1 || pending.size() <= 1) {
+        for (std::size_t w : pending)
             run_workload(w);
         ledger.summarize();
         return results;
     }
 
     // One job per workload: recording and the replays that reuse its
-    // event stream stay on one worker, so the stream lives exactly as
+    // event stream stay on one thread, so the stream lives exactly as
     // long as the job and no cross-thread handoff is needed.  Slot-
     // indexed writes keep the merged results bit-identical to the
-    // serial order no matter which worker finishes first.
-    ThreadPool pool(std::min<std::size_t>(jobs, work.size()));
+    // serial order no matter which thread finishes first.
+    ThreadPool pool(std::min<std::size_t>(jobs, pending.size()));
     std::vector<std::future<void>> in_flight;
-    in_flight.reserve(work.size());
-    for (std::size_t w : work)
+    in_flight.reserve(pending.size());
+    for (std::size_t w : pending)
         in_flight.push_back(pool.submit([&, w] { run_workload(w); }));
     // Jobs never throw (failures land in the ledger), so get() here
     // is pure synchronization.
@@ -1030,25 +897,8 @@ Runner::runSuiteParallel(const std::vector<WorkloadConfig> &suite,
         jobs = ThreadPool::defaultConcurrency();
 
     RunJournal *journal = journal_.get();
-    dist::SweepFabric *fabric = fabric_.get();
-    if (fabric && fabric->isWorker())
-        journal = nullptr;
-    // Same single-counter numbering as runSuiteMulti (see there).
-    std::uint64_t seq = 0;
-    if (fabric)
-        seq = fabric->nextSuiteSeq();
-    else if (journal_)
-        seq = journal_->nextSuiteSeq();
-    if (fabric && fabric->isWorker()) {
-        // Single-factory suites never distribute; only the
-        // coordinator's CSVs are real, so answer with zero shapes.
-        std::vector<WorkloadResult> zeros(suite.size());
-        for (std::size_t i = 0; i < suite.size(); ++i)
-            zeros[i].workload = suite[i];
-        return zeros;
-    }
-    if (fabric && fabric->isCoordinator())
-        fabric->skipSuite(seq);
+    // Same numbering as runSuiteMulti (see there).
+    const std::uint64_t seq = journal ? journal->nextSuiteSeq() : 0;
 
     ProgressReporter progress(label, suite.size());
     const std::string tag = label.empty() ? "policy" : label;
@@ -1057,7 +907,7 @@ Runner::runSuiteParallel(const std::vector<WorkloadConfig> &suite,
 
     // Every job writes only its own slot, so the merged vector is in
     // suite order and bit-identical to the serial path no matter
-    // which worker finishes first, and a failed job leaves only its
+    // which thread finishes first, and a failed job leaves only its
     // own slot zeroed.
     std::vector<WorkloadResult> results(suite.size());
     auto run_job = [&](std::size_t i) {

@@ -23,11 +23,6 @@
 namespace chirp
 {
 
-namespace dist
-{
-class SweepFabric;
-}
-
 class RunJournal;
 class Simulator;
 
@@ -39,7 +34,7 @@ using PolicyFactory = std::function<std::unique_ptr<ReplacementPolicy>(
  * Optional per-job hook for runSuiteMulti: called right after the
  * simulation for (policy @p policy_idx, workload @p workload_idx)
  * completes, while its Simulator (and thus the policy instance with
- * any diagnostic counters) is still alive.  Invoked on the worker
+ * any diagnostic counters) is still alive.  Invoked on the pool
  * thread that ran the job; observers must do their own locking.
  */
 using SimObserver = std::function<void(
@@ -76,8 +71,7 @@ struct ResilienceOptions
      * Wall-time budget per job attempt; 0 disables the watchdog.
      * Enforcing: an attempt exceeding the budget is cancelled (the
      * simulator aborts at its next cancellation point), recorded as
-     * timed-out, and not retried — under the distributed fabric its
-     * shard is requeued instead.
+     * timed-out, and not retried.
      */
     std::uint64_t jobTimeoutMs = 0;
 };
@@ -121,9 +115,9 @@ class Runner
 {
   public:
     /**
-     * @param jobs worker threads for suite runs: 1 (the default)
-     *        keeps the legacy strictly-serial path, 0 means hardware
-     *        concurrency, N > 1 shards across N workers.
+     * @param jobs threads for suite runs: 1 (the default) keeps the
+     *        strictly-serial path, 0 means hardware concurrency, N > 1
+     *        shards across a pool of N threads.
      */
     explicit Runner(const SimConfig &config, unsigned jobs = 1);
 
@@ -152,7 +146,7 @@ class Runner
              const std::string &label = "") const;
 
     /**
-     * As runSuite, but with an explicit worker count (0 = hardware
+     * As runSuite, but with an explicit thread count (0 = hardware
      * concurrency, 1 = serial) overriding the configured one.
      */
     std::vector<WorkloadResult>
@@ -201,10 +195,10 @@ class Runner
 
     const SimConfig &config() const { return config_; }
 
-    /** Worker threads used by runSuite. */
+    /** Threads used by suite runs. */
     unsigned jobs() const { return jobs_; }
 
-    /** Change the worker count used by runSuite (see constructor). */
+    /** Change the thread count used by suite runs (see constructor). */
     void setJobs(unsigned jobs) { jobs_ = jobs; }
 
     /** Retry/watchdog knobs for subsequent suite runs. */
@@ -226,29 +220,6 @@ class Runner
     /** Replace the health ledger job outcomes are reported to. */
     void setHealth(std::shared_ptr<SuiteHealth> health);
 
-    /**
-     * Attach a sweep fabric end.  On a coordinator, distributable
-     * runSuiteMulti calls shard their pending workloads across
-     * attached workers (merging streamed results into the same
-     * slots, journal, and health ledger a local run fills) and fall
-     * back to in-process execution for whatever the fabric hands
-     * back.  On a worker, suite calls announce themselves and execute
-     * granted shards, streaming every job outcome to the coordinator;
-     * non-distributable calls (observer attached, CHIRP_FORCE_VIRTUAL,
-     * single-factory paths) return zero-shaped results immediately —
-     * only the coordinator's CSVs are real.  nullptr detaches.
-     */
-    void setFabric(std::shared_ptr<dist::SweepFabric> fabric)
-    {
-        fabric_ = std::move(fabric);
-    }
-
-    /** The attached sweep fabric end, if any. */
-    const std::shared_ptr<dist::SweepFabric> &fabric() const
-    {
-        return fabric_;
-    }
-
     /** The health ledger for this runner's suite runs. */
     const std::shared_ptr<SuiteHealth> &health() const
     {
@@ -266,7 +237,6 @@ class Runner
     std::shared_ptr<TraceStore> store_;
     std::shared_ptr<RunJournal> journal_;
     std::shared_ptr<SuiteHealth> health_;
-    std::shared_ptr<dist::SweepFabric> fabric_;
 };
 
 /**

@@ -13,6 +13,7 @@
 #include "trace/ingest/cvp_reader.hh"
 #include "trace/ingest/ingest_util.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace chirp
 {
@@ -31,9 +32,9 @@ envU64(const char *name, std::uint64_t fallback)
     const char *value = std::getenv(name);
     if (!value || !*value)
         return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0')
+    std::uint64_t parsed = 0;
+    if (!parseUnsigned(value, std::numeric_limits<std::uint64_t>::max(),
+                       parsed))
         chirp_fatal(name, " must be a non-negative integer, got '",
                     value, "'");
     return parsed;

@@ -2,8 +2,8 @@
  * @file
  * Hardened external-trace ingestion: the untrusted front-end that
  * turns ChampSim / CVP trace files into the same SharedTrace tier the
- * synthetic generator materializes into, so replay, --jobs and
- * --workers all work unchanged on real program traces.
+ * synthetic generator materializes into, so replay and --jobs work
+ * unchanged on real program traces.
  *
  * Every input is treated as adversarial.  The readers decode via
  * bounds-checked memcpy from length-validated buffers (never by
@@ -67,15 +67,14 @@ const char *externalTraceFormatName(ExternalTraceFormat format);
 
 /**
  * The format from CHIRP_TRACE_IN_FORMAT (unset/empty means Auto);
- * fatal on unrecognized values.  Read fresh each call so --workers
- * children inherit the coordinator's choice through the environment.
+ * fatal on unrecognized values.  Read fresh each call, so the bench
+ * flag --trace-in-format takes effect by setting the variable.
  */
 ExternalTraceFormat externalTraceFormatFromEnv();
 
 /**
  * Hard resource budgets for one ingest.  Defaults come from
- * ingestLimitsFromEnv(); every knob has an environment override so
- * the budgets reach --workers children unchanged.
+ * ingestLimitsFromEnv(); every knob has an environment override.
  */
 struct IngestLimits
 {

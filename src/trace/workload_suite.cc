@@ -1,12 +1,14 @@
 #include "trace/workload_suite.hh"
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <cstdio>
 #include <cstdlib>
 
 #include "util/hashing.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/random.hh"
 
 namespace chirp
@@ -21,9 +23,9 @@ envU64(const char *name, std::uint64_t fallback)
     const char *value = std::getenv(name);
     if (!value || !*value)
         return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0')
+    std::uint64_t parsed = 0;
+    if (!parseUnsigned(value, std::numeric_limits<std::uint64_t>::max(),
+                       parsed))
         chirp_fatal("environment variable ", name, "='", value,
                     "' is not a number");
     return parsed;

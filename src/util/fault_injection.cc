@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <thread>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace chirp
 {
@@ -18,10 +20,9 @@ namespace
 std::uint64_t
 parseNumber(const std::string &text, const std::string &spec)
 {
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
+    std::uint64_t value = 0;
+    if (!parseUnsigned(text.c_str(),
+                       std::numeric_limits<std::uint64_t>::max(), value))
         chirp_fatal("CHIRP_FAULT: bad number '", text, "' in spec '",
                     spec, "'");
     return value;
@@ -91,10 +92,9 @@ FaultInjector::isJobKind(Kind kind)
 }
 
 bool
-FaultInjector::isWorkerKind(Kind kind)
+FaultInjector::isCacheKind(Kind kind)
 {
-    return kind == Kind::WorkerCrash || kind == Kind::WorkerStall ||
-           kind == Kind::MsgTruncate;
+    return kind == Kind::CacheTruncate || kind == Kind::CacheBitFlip;
 }
 
 void
@@ -136,19 +136,12 @@ FaultInjector::configure(const std::string &spec)
             action.kind = Kind::CacheTruncate;
         else if (kind == "cache-bitflip")
             action.kind = Kind::CacheBitFlip;
-        else if (kind == "worker-crash")
-            action.kind = Kind::WorkerCrash;
-        else if (kind == "worker-stall")
-            action.kind = Kind::WorkerStall;
-        else if (kind == "msg-truncate")
-            action.kind = Kind::MsgTruncate;
         else if (kind == "chunk-throw")
             action.kind = Kind::ChunkThrow;
         else
             chirp_fatal("CHIRP_FAULT: unknown action '", kind,
                         "' (expected throw, hard-throw, slow, crash, "
-                        "cache-truncate, cache-bitflip, worker-crash, "
-                        "worker-stall, msg-truncate, or chunk-throw)");
+                        "cache-truncate, cache-bitflip, or chunk-throw)");
         actions.push_back(action);
     }
     bool chunk_armed = false;
@@ -158,7 +151,6 @@ FaultInjector::configure(const std::string &spec)
     actions_ = std::move(actions);
     jobEvents_ = 0;
     cacheEvents_ = 0;
-    wireEvents_ = 0;
     chunkEvents_ = 0;
     chunkArmed_.store(chunk_armed, std::memory_order_relaxed);
 }
@@ -189,41 +181,13 @@ FaultInjector::onJobStart()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     const std::uint64_t event = jobEvents_++;
-    // Worker-targeted crash/stall: @N selects a worker id, and the
-    // action fires at that worker's third local job event (see the
-    // header comment), so a shard is always mid-flight with at least
-    // one result already streamed.
-    for (Action &action : actions_) {
-        if (action.fired || workerId_ < 0 || event != 2 ||
-            action.at != static_cast<std::uint64_t>(workerId_))
-            continue;
-        if (action.kind == Kind::WorkerCrash) {
-            action.fired = true;
-            const std::uint64_t code = action.hasArg ? action.arg : 137;
-            lock.unlock();
-            std::fprintf(stderr,
-                         "fault injection: worker %d crashing "
-                         "mid-shard\n",
-                         workerId_);
-            std::_Exit(static_cast<int>(code));
-        }
-        if (action.kind == Kind::WorkerStall) {
-            action.fired = true;
-            const std::uint64_t ms = action.hasArg ? action.arg : 20000;
-            lock.unlock();
-            chirp_warn("fault injection: worker ", workerId_,
-                       " stalling for ", ms, " ms");
-            std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-            lock.lock();
-        }
-    }
     for (Action &action : actions_) {
         if (action.fired || !isJobKind(action.kind) ||
             action.at != event)
             continue;
         action.fired = true;
         const Action fired = action;
-        lock.unlock(); // throw/sleep without blocking other workers
+        lock.unlock(); // throw/sleep without blocking other threads
         switch (fired.kind) {
           case Kind::Throw:
             throw TransientError(detail::concat(
@@ -269,61 +233,13 @@ FaultInjector::onBatchChunk()
 }
 
 void
-FaultInjector::setWorkerId(int id)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    workerId_ = id;
-}
-
-int
-FaultInjector::workerId() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return workerId_;
-}
-
-std::size_t
-FaultInjector::onWireSend(std::size_t len)
-{
-    std::uint64_t event = 0;
-    bool truncate = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        event = wireEvents_++;
-        for (Action &action : actions_) {
-            if (action.fired || action.kind != Kind::MsgTruncate ||
-                workerId_ < 0 ||
-                action.at != static_cast<std::uint64_t>(workerId_))
-                continue;
-            // @N picked this worker; :K (default 3) picks which of
-            // its outgoing frames to cut short.
-            if (event != (action.hasArg ? action.arg : 3))
-                continue;
-            action.fired = true;
-            truncate = true;
-            break;
-        }
-    }
-    // Raw stderr, not chirp_warn: sendFrame calls this while holding
-    // the fabric's send mutex, and a worker's log sink re-enters
-    // sendFrame (and that mutex) to ship the warning.
-    if (truncate) {
-        std::fprintf(stderr,
-                     "warn: fault injection: truncating wire frame %llu\n",
-                     static_cast<unsigned long long>(event));
-        return len / 2;
-    }
-    return len;
-}
-
-void
 FaultInjector::onCachePublish(const std::string &path)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     const std::uint64_t event = cacheEvents_++;
     for (Action &action : actions_) {
-        if (action.fired || isJobKind(action.kind) ||
-            isWorkerKind(action.kind) || action.at != event)
+        if (action.fired || !isCacheKind(action.kind) ||
+            action.at != event)
             continue;
         action.fired = true;
         const Action fired = action;

@@ -13,7 +13,7 @@
  *   cache events  one per trace-cache file published to disk
  *
  * Events are numbered from 0 in program order, so a given spec always
- * hits the same attempt with `--jobs 1`; with more workers the event
+ * hits the same attempt with `--jobs 1`; with more threads the event
  * an action lands on is racy but the *kind* of failure is not, which
  * is all the crash/resume CI smoke needs.
  *
@@ -33,25 +33,7 @@
  *   cache-bitflip@N[:OFFSET]  XOR one bit at OFFSET (default middle)
  *                             of the Nth published trace-cache file
  *
- * Worker-targeted actions (distributed sweeps): here @N selects a
- * *worker id*, not an event index.  They fire only in the process
- * whose fabric worker id (setWorkerId) equals N — since CHIRP_FAULT
- * is inherited by every spawned worker, one spec can single out one
- * worker of a fleet.  crash/stall fire at that worker's third local
- * job event — mid-shard, after the recorder and one replay have
- * completed, so at least one result has streamed back; truncate
- * fires on an outgoing wire frame.
- *
- *   worker-crash@N[:CODE]  worker N _Exit(CODE)s (default 137) as if
- *                          kill -9'd mid-shard
- *   worker-stall@N[:MS]    worker N sleeps MS ms (default 20000),
- *                          long enough to blow any sane lease
- *   msg-truncate@N[:K]     worker N truncates its Kth (default 3rd)
- *                          outgoing wire frame mid-write, desyncing
- *                          the stream so the coordinator drops it
- *
  * Example: CHIRP_FAULT=throw@3,cache-bitflip@0
- * Example: CHIRP_FAULT=worker-crash@1
  */
 
 #ifndef CHIRP_UTIL_FAULT_INJECTION_HH
@@ -134,22 +116,6 @@ class FaultInjector
      */
     void onBatchChunk();
 
-    /**
-     * Identify this process as fabric worker @p id (-1: not a
-     * worker).  Arms the worker-targeted action family.
-     */
-    void setWorkerId(int id);
-
-    /** The fabric worker id, or -1 outside worker processes. */
-    int workerId() const;
-
-    /**
-     * Count one outgoing wire frame of @p len bytes and return how
-     * many of them to actually send: @p len normally, less when a
-     * msg-truncate action targeting this worker fires.  Never throws.
-     */
-    std::size_t onWireSend(std::size_t len);
-
     /** Job-attempt events seen since the last configure(). */
     std::uint64_t jobEvents() const;
 
@@ -167,9 +133,6 @@ class FaultInjector
         Crash,
         CacheTruncate,
         CacheBitFlip,
-        WorkerCrash,
-        WorkerStall,
-        MsgTruncate,
         ChunkThrow,
     };
 
@@ -183,15 +146,13 @@ class FaultInjector
     };
 
     static bool isJobKind(Kind kind);
-    static bool isWorkerKind(Kind kind);
+    static bool isCacheKind(Kind kind);
 
     mutable std::mutex mutex_;
     std::vector<Action> actions_;
     std::uint64_t jobEvents_ = 0;
     std::uint64_t cacheEvents_ = 0;
-    std::uint64_t wireEvents_ = 0;
     std::uint64_t chunkEvents_ = 0;
-    int workerId_ = -1;
     // Lock-free mirror of "a ChunkThrow is armed and unfired" for the
     // per-chunk hot-path check.
     static std::atomic<bool> chunkArmed_;

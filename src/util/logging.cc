@@ -34,22 +34,15 @@ setLogSink(LogSink sink)
     sinkSlot() = std::move(sink);
 }
 
-bool
-logSinkInstalled()
-{
-    std::lock_guard<std::mutex> lock(sinkMutex());
-    return static_cast<bool>(sinkSlot());
-}
-
 namespace detail
 {
 
 void
 emitLine(const std::string &line)
 {
-    // Copy the sink out under the lock so a slow sink (a socket send)
-    // never serializes unrelated logging, and a concurrent
-    // setLogSink() cannot invalidate the function mid-call.
+    // Copy the sink out under the lock so a slow sink never
+    // serializes unrelated logging, and a concurrent setLogSink()
+    // cannot invalidate the function mid-call.
     LogSink sink;
     {
         std::lock_guard<std::mutex> lock(sinkMutex());
@@ -65,11 +58,6 @@ emitLine(const std::string &line)
 [[noreturn]] void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    // Both routes on purpose: the sink forwards the reason to the
-    // coordinator, stderr keeps a local trace in case the connection
-    // is already gone.
-    if (logSinkInstalled())
-        emitLine("fatal: " + msg);
     std::fprintf(stderr, "fatal: %s\n  at %s:%d\n", msg.c_str(), file, line);
     std::exit(1);
 }
@@ -77,8 +65,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
 [[noreturn]] void
 panicImpl(const char *file, int line, const std::string &msg)
 {
-    if (logSinkInstalled())
-        emitLine("panic: " + msg);
     std::fprintf(stderr, "panic: %s\n  at %s:%d\n", msg.c_str(), file, line);
     std::abort();
 }

@@ -15,12 +15,6 @@ ProgressReporter::ProgressReporter(std::string label, std::size_t total,
     : label_(std::move(label)), total_(total), mode_(mode),
       stride_(std::max<std::size_t>(1, total / 10))
 {
-    // A log sink means this process's stderr is not the terminal the
-    // user is watching (worker of a distributed sweep): \r redraw
-    // fragments from several processes would interleave, so always
-    // emit complete lines through the sink.
-    if (logSinkInstalled())
-        mode_ = Mode::Lines;
     if (mode_ == Mode::Auto) {
         mode_ = ::isatty(::fileno(stderr)) ? Mode::Tty : Mode::Lines;
     }

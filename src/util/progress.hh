@@ -2,20 +2,14 @@
  * @file
  * Thread-safe suite-progress ticker.
  *
- * Replaces the bare fprintf ticker the serial runner used: workers
- * completing jobs on any thread call tick(), and the reporter keeps a
+ * Replaces the bare fprintf ticker the serial runner used: jobs
+ * completing on any pool thread call tick(), and the reporter keeps a
  * single "\r  [label] done/total workloads" line updated on stderr
  * without interleaving.  When stderr is not a terminal (CI logs,
  * redirects) the carriage-return redraw would accumulate one line of
  * spam per tick, so the reporter falls back to printing a plain line
  * every ~10% of the batch plus one at completion.  A reporter with an
  * empty label is silent, so tests and library callers stay quiet.
- *
- * When a process-wide log sink is installed (setLogSink — worker
- * processes of a distributed sweep do this) the reporter always uses
- * line mode and emits through the sink, so progress from many workers
- * reaches the coordinator as complete lines it can prefix with the
- * worker id instead of interleaved \r fragments on a shared terminal.
  */
 
 #ifndef CHIRP_UTIL_PROGRESS_HH

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace chirp
 {
@@ -61,12 +63,12 @@ quarantineKeepCount()
     const char *value = std::getenv("CHIRP_QUARANTINE_KEEP");
     if (!value || !*value)
         return 3;
-    char *end = nullptr;
-    const unsigned long parsed = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0')
+    std::uint64_t parsed = 0;
+    if (!parseUnsigned(value, std::numeric_limits<std::size_t>::max(),
+                       parsed))
         chirp_fatal("CHIRP_QUARANTINE_KEEP must be a non-negative "
                     "integer, got '", value, "'");
-    return parsed;
+    return static_cast<std::size_t>(parsed);
 }
 
 void

@@ -166,6 +166,20 @@ TEST_F(FaultInjectionTest, JobActionsIgnoreCacheEventsAndViceVersa)
     std::filesystem::remove(path);
 }
 
+TEST_F(FaultInjectionTest, ChunkActionsIgnoreCacheEvents)
+{
+    const std::string path = scratchFile("chunk", "payload");
+    FaultInjector &injector = FaultInjector::instance();
+    injector.configure("chunk-throw@0");
+    // A cache publish must neither corrupt the file nor consume the
+    // armed chunk action.
+    injector.onCachePublish(path);
+    EXPECT_EQ(slurp(path), "payload");
+    EXPECT_TRUE(FaultInjector::chunkFaultsArmed());
+    EXPECT_THROW(injector.onBatchChunk(), TransientError);
+    std::filesystem::remove(path);
+}
+
 TEST_F(FaultInjectionTest, ConfigureResetsCountersAndResetDisarms)
 {
     FaultInjector &injector = FaultInjector::instance();
@@ -189,7 +203,12 @@ TEST_F(FaultInjectionDeathTest, MalformedSpecsAreFatal)
                 ::testing::ExitedWithCode(1), "missing '@index'");
     EXPECT_EXIT(FaultInjector::instance().configure("explode@3"),
                 ::testing::ExitedWithCode(1), "unknown action");
+    // Spellings of deleted kinds must fail loudly, not be ignored.
+    EXPECT_EXIT(FaultInjector::instance().configure("worker-crash@1"),
+                ::testing::ExitedWithCode(1), "unknown action");
     EXPECT_EXIT(FaultInjector::instance().configure("throw@banana"),
+                ::testing::ExitedWithCode(1), "bad number");
+    EXPECT_EXIT(FaultInjector::instance().configure("throw@-1"),
                 ::testing::ExitedWithCode(1), "bad number");
 }
 

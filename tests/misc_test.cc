@@ -1,11 +1,18 @@
-/** @file Coverage for code layout, efficiency tracking and logging. */
+/**
+ * @file
+ * Coverage for code layout, efficiency tracking, logging and number
+ * parsing.
+ */
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "core/chirp.hh"
 #include "tlb/efficiency.hh"
 #include "trace/synthetic/code_layout.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/progress.hh"
 
 namespace chirp
@@ -160,6 +167,49 @@ TEST(ProgressReporter, LinesModePrintsStrideAndFinal)
     EXPECT_NE(out.find("[batch] 20/20"), std::string::npos);
     EXPECT_EQ(out.find('\r'), std::string::npos)
         << "line mode never uses carriage-return redraws";
+}
+
+TEST(ParseUnsigned, AcceptsPlainDigits)
+{
+    std::uint64_t out = 99;
+    EXPECT_TRUE(parseUnsigned("0", 10, out));
+    EXPECT_EQ(out, 0u);
+    EXPECT_TRUE(parseUnsigned("007", 10, out));
+    EXPECT_EQ(out, 7u);
+    EXPECT_TRUE(parseUnsigned("18446744073709551615",
+                              std::numeric_limits<std::uint64_t>::max(),
+                              out));
+    EXPECT_EQ(out, std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(ParseUnsigned, RejectsSignsSpacesAndJunk)
+{
+    const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    for (const char *text :
+         {"-1", "+5", " 5", "5 ", "", "5x", "0x10", "1e3", "-0"}) {
+        std::uint64_t out = 42;
+        EXPECT_FALSE(parseUnsigned(text, max, out)) << "'" << text << "'";
+        EXPECT_EQ(out, 42u) << "a rejection leaves the output alone";
+    }
+    std::uint64_t out = 42;
+    EXPECT_FALSE(parseUnsigned(nullptr, max, out));
+}
+
+TEST(ParseUnsigned, RejectsOverflowAndValuesAboveMax)
+{
+    const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t out = 0;
+    EXPECT_FALSE(parseUnsigned("18446744073709551616", max, out))
+        << "2^64 overflows";
+    EXPECT_FALSE(parseUnsigned("99999999999999999999999", max, out));
+    // The max boundary is inclusive.
+    EXPECT_TRUE(parseUnsigned("4294967295", 4294967295u, out));
+    EXPECT_EQ(out, 4294967295u);
+    EXPECT_FALSE(parseUnsigned("4294967296", 4294967295u, out));
+    EXPECT_FALSE(parseUnsigned("4294967297", 4294967295u, out))
+        << "no silent truncation to 32 bits";
+    EXPECT_TRUE(parseUnsigned("0", 0, out));
+    EXPECT_FALSE(parseUnsigned("1", 0, out));
 }
 
 TEST(ProgressReporter, EmptyLabelIsSilent)

@@ -2,17 +2,19 @@
  * @file
  * Suite-runner resilience tests driven by the fault injector: hard
  * faults isolate a single job, transient faults are retried per
- * --retries, the run journal resumes to bit-identical stats, the
- * watchdog cancels jobs overrunning their budget, and a recorder
- * failure in runSuiteMulti fails exactly that workload's pending
- * policies.  All runs are serial (jobs = 1) so fault events land on
- * deterministic jobs.
+ * --retries, the run journal resumes to bit-identical stats (single-
+ * and multi-policy suites), the watchdog cancels jobs overrunning
+ * their budget, and a recorder failure in runSuiteMulti fails exactly
+ * that workload's pending policies.  Every run that injects a fault
+ * is serial (jobs = 1) so fault events land on deterministic jobs.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/policy_factory.hh"
 #include "sim/run_journal.hh"
@@ -213,6 +215,67 @@ TEST_F(RunnerResilienceTest, JournalResumeIsBitIdentical)
     for (std::size_t i = 0; i < resumed.size(); ++i) {
         SCOPED_TRACE(suite[i].name);
         expectIdenticalStats(resumed[i].stats, reference[i].stats);
+    }
+    std::filesystem::remove(path);
+}
+
+TEST_F(RunnerResilienceTest, MultiJournalResumeRunsOnlyMissingJobs)
+{
+    const auto suite = smallSuite();
+    const std::vector<PolicyFactory> factories = {
+        Runner::factoryFor(PolicyKind::Lru),
+        Runner::factoryFor(PolicyKind::Chirp),
+    };
+    const std::size_t total = suite.size() * factories.size();
+    const std::string path =
+        ::testing::TempDir() + "chirp_multi_resume.journal";
+    const std::uint64_t fp = 0xd15c0;
+
+    const Runner clean(fastConfig(), 1);
+    const auto reference = clean.runSuiteMulti(suite, factories);
+
+    for (const unsigned jobs : {1u, 2u}) {
+        SCOPED_TRACE("resume at jobs=" + std::to_string(jobs));
+        std::filesystem::remove(path);
+        {
+            // Serial fast-path events: w0 recorder @0, replays @1 @2.
+            // The fault leaves exactly workload 0's second policy
+            // missing from the journal -- the hole a run killed
+            // mid-sweep leaves behind.
+            Runner first(fastConfig(), 1);
+            first.setJournal(
+                std::make_shared<RunJournal>(path, fp, /*resume=*/false));
+            FaultInjector::instance().configure("hard-throw@2");
+            first.runSuiteMulti(suite, factories);
+            EXPECT_EQ(first.health()->failureCount(), 1u);
+        }
+        FaultInjector::instance().reset();
+
+        Runner resumed(fastConfig(), jobs);
+        auto journal =
+            std::make_shared<RunJournal>(path, fp, /*resume=*/true);
+        EXPECT_EQ(journal->loaded(), total - 1);
+        resumed.setJournal(journal);
+        const auto results = resumed.runSuiteMulti(suite, factories);
+
+        const SuiteHealth &health = *resumed.health();
+        EXPECT_EQ(health.okJobs(), total);
+        EXPECT_EQ(health.resumedJobs(), total - 1)
+            << "only the missing job re-executes";
+        EXPECT_EQ(health.failureCount(), 0u);
+        ASSERT_EQ(results.size(), reference.size());
+        for (std::size_t p = 0; p < results.size(); ++p) {
+            ASSERT_EQ(results[p].size(), reference[p].size());
+            for (std::size_t w = 0; w < results[p].size(); ++w) {
+                SCOPED_TRACE("policy " + std::to_string(p) +
+                             " workload " + std::to_string(w));
+                // encodeSimStats is bit-exact (doubles as their
+                // IEEE-754 bit patterns), so string equality is the
+                // byte-identical-CSV claim.
+                EXPECT_EQ(encodeSimStats(results[p][w].stats),
+                          encodeSimStats(reference[p][w].stats));
+            }
+        }
     }
     std::filesystem::remove(path);
 }

@@ -149,5 +149,19 @@ TEST(WorkloadSuite, EnvOverridesAreParsed)
     ::unsetenv("CHIRP_CATEGORY");
 }
 
+TEST(WorkloadSuiteDeathTest, NegativeOrOverflowingEnvIsFatal)
+{
+    // strtoull alone would wrap "-1" to 2^64 - 1 workloads.
+    for (const char *bad : {"-1", "18446744073709551616", " 4", "+4"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_EXIT(
+            {
+                ::setenv("CHIRP_SUITE_SIZE", bad, 1);
+                suiteOptionsFromEnv();
+            },
+            ::testing::ExitedWithCode(1), "is not a number");
+    }
+}
+
 } // namespace
 } // namespace chirp

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,12 +37,28 @@
 #include "trace/trace_file.hh"
 #include "trace/synthetic/workload_factory.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/table.hh"
 
 using namespace chirp;
 
 namespace
 {
+
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+
+/** Parse @p text as a decimal in [@p min, @p max]; fatal otherwise. */
+std::uint64_t
+parseNumber(const std::string &what, const std::string &text,
+            std::uint64_t min, std::uint64_t max)
+{
+    std::uint64_t value = 0;
+    if (!parseUnsigned(text.c_str(), max, value) || value < min)
+        chirp_fatal(what, " expects an integer from ", min, " to ", max,
+                    ", got '", text, "'");
+    return value;
+}
 
 /** Parse "cat:seed[:scale]" into a WorkloadConfig. */
 WorkloadConfig
@@ -65,11 +82,16 @@ parseWorkloadSpec(const std::string &spec, InstCount length)
         chirp_fatal("workload spec '", spec, "' needs CAT:SEED");
     const std::string rest = spec.substr(first + 1);
     const auto second = rest.find(':');
-    config.seed = std::strtoull(rest.substr(0, second).c_str(),
-                                nullptr, 10);
-    if (second != std::string::npos)
-        config.scale = std::strtod(rest.substr(second + 1).c_str(),
-                                   nullptr);
+    config.seed = parseNumber("workload seed", rest.substr(0, second), 0,
+                              kMaxU64);
+    if (second != std::string::npos) {
+        const std::string scale = rest.substr(second + 1);
+        char *end = nullptr;
+        config.scale = std::strtod(scale.c_str(), &end);
+        if (scale.empty() || *end != '\0')
+            chirp_fatal("workload scale expects a number, got '", scale,
+                        "'");
+    }
     return config;
 }
 
@@ -147,18 +169,17 @@ main(int argc, char **argv)
         else if (arg == "--policy")
             policy = value();
         else if (arg == "--length")
-            length = std::strtoull(value().c_str(), nullptr, 10);
+            length = parseNumber(arg, value(), 0, kMaxU64);
         else if (arg == "--penalty")
-            config.pageWalkLatency =
-                std::strtoull(value().c_str(), nullptr, 10);
+            config.pageWalkLatency = parseNumber(arg, value(), 0, kMaxU64);
         else if (arg == "--entries")
             config.tlbs.l2.entries = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+                parseNumber(arg, value(), 1, kMaxU32));
         else if (arg == "--assoc")
             config.tlbs.l2.assoc = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+                parseNumber(arg, value(), 1, kMaxU32));
         else if (arg == "--quantum")
-            quantum = std::strtoull(value().c_str(), nullptr, 10);
+            quantum = parseNumber(arg, value(), 0, kMaxU64);
         else if (arg == "--flush-on-switch")
             flush_on_switch = true;
         else if (arg == "--no-caches")

@@ -37,11 +37,13 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "trace/ingest/ingest.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/random.hh"
 
 namespace
@@ -352,9 +354,9 @@ runMutations(std::uint64_t iters, std::uint64_t seconds,
 std::uint64_t
 parseU64(const char *flag, const char *text)
 {
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0')
+    std::uint64_t value = 0;
+    if (!parseUnsigned(text, std::numeric_limits<std::uint64_t>::max(),
+                       value))
         chirp_fatal(flag, " expects a non-negative integer, got '",
                     text, "'");
     return value;
